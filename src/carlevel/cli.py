@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--report-convergence", type=int, metavar="DMAX")
     p.add_argument("--emit-witness", metavar="PATH")
-    p.add_argument("--cell-cap", type=int, help=f"state budget (default ${CELL_CAP_ENV} or "
+    p.add_argument("--cell-cap", type=int, help=f"row-cell budget (default ${CELL_CAP_ENV} or "
                                                 f"{default_cell_cap()})")
     p.add_argument("--depth-limit", type=int, default=DEFAULT_DEPTH_LIMIT)
     _add_common(p)

@@ -14,10 +14,22 @@ is hereditary: capping every state's average at min(C, depth + 1) enforces
 it exactly, because an unselected node's average never exceeds the sup of
 the selected subtree averages below it.
 
-Internally a state at depth d stores its average as an integer numerator
-at scale 2^d and its value as an integer leaf count out of 2^d, so the
-whole recursion is big-int arithmetic; dyadic rationals appear only at the
-API boundary.
+The engine tabulates bottom-up by rows.  The row F_d(., m) holds an
+integer leaf count out of 2^d for every average numerator n = 0..cap(d) at
+scale 2^d, so the whole computation is big-int arithmetic and dyadic
+rationals appear only at the API boundary.  With r the row F_{d-1}(., m - g)
+and rem = n - g 2^d, each cell is one windowed (max,+) self-convolution
+
+    max(r[n1] + r[rem - n1] for lo <= n1 <= hi),   hi <= rem // 2,
+
+tried with g = 1 first and with g = 0 only when g = 1 did not fill all 2^d
+leaves.  Rows for levels m <= 0 (all leaves) and m > d + 1 (none) are never
+stored.  Each stored row is computed once per engine and every cell of it
+is checked against the closed form.  A point query computes only its own
+cell from the rows below it, and a witness rebuilds the maximizing split
+only along its own path.  Before filling anything, a call counts the row
+cells it would add to the cache and refuses, with ResourceLimitError, to
+take the cache past the engine's cell cap.
 """
 
 from __future__ import annotations
@@ -25,7 +37,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from operator import add
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .candidate import BellmanPoint, CandidateParams, candidate_eval
 from .dyadic import ROOT, DyadicRational, NodeAddress, RationalLike, ceil_rational, to_fraction
@@ -59,15 +72,9 @@ class DPKey:
 
 @dataclass(frozen=True)
 class DPCell:
-    """A solved state: its value and the root choice achieving it.
-
-    choice is (gamma, left average, right average) for an interior split,
-    or None when the state is terminal (depth 0, an obstacle state, or a
-    state whose value is identically 0 or 1 regardless of the split).
-    """
+    """A solved state's value; witness() rebuilds the split that attains it."""
 
     value: DyadicRational
-    choice: Optional[Tuple[int, DyadicRational, DyadicRational]]
 
 
 @dataclass(frozen=True)
@@ -78,7 +85,7 @@ class ConvergenceRow:
 
 
 class LevelSetDP:
-    """Memoized solver for one Carleson bound C; reusable across depths."""
+    """Row-tabulating solver for one Carleson bound C; reusable across depths."""
 
     def __init__(self, C: RationalLike, cell_cap: Optional[int] = None,
                  depth_limit: int = DEFAULT_DEPTH_LIMIT) -> None:
@@ -88,8 +95,8 @@ class LevelSetDP:
         self.cell_cap = default_cell_cap() if cell_cap is None else cell_cap
         self.depth_limit = depth_limit
         self.params = CandidateParams.from_constant(self.C)
-        # state -> (count, gamma, left numerator); single-writer memo
-        self._memo: Dict[Tuple[int, int, int], Tuple[int, int, int]] = {}
+        # (d, m) -> F_d(n / 2^d, m) as leaf counts for n = 0..cap(d), 1 <= m <= d + 1
+        self._rows: Dict[Tuple[int, int], List[int]] = {}
         self._caps: Dict[int, int] = {}
 
     # -- state space -----------------------------------------------------
@@ -102,9 +109,14 @@ class LevelSetDP:
             self._caps[d] = cap
         return cap
 
-    def _check_key(self, depth: int, average: RationalLike, level: int) -> Tuple[int, int]:
+    def _check_depth(self, depth: int) -> None:
         if depth < 0:
             raise ValueError("depth must be >= 0")
+        if depth > self.depth_limit:
+            raise ValueError(f"depth {depth} exceeds the configured limit {self.depth_limit}")
+
+    def _check_key(self, depth: int, average: RationalLike, level: int) -> Tuple[int, int]:
+        self._check_depth(depth)
         f = to_fraction(average)
         if f > self.C:
             raise AdmissibilityError(f"average {f} exceeds the Carleson bound {self.C}")
@@ -115,57 +127,125 @@ class LevelSetDP:
             raise PrecisionError(f"average {f} not representable on the 2^-{depth} grid")
         return f.numerator << (depth - (q.bit_length() - 1)), level
 
-    # -- core recursion ----------------------------------------------------
+    # -- rows ----------------------------------------------------------------
 
-    def _count(self, d: int, n: int, m: int) -> int:
-        """Number of level-d leaves reaching height m, maximized; in [0, 2^d]."""
+    def _window(self, d: int, n: int, gamma: int) -> Optional[Tuple[int, int, int]]:
+        """(rem, lo, hi) for the left numerators n1 of a split, or None if infeasible."""
+        if gamma and n < 1 << d:
+            return None
+        rem = n - (gamma << d)
+        child_cap = self._cap_num(d - 1)
+        lo = max(0, rem - child_cap)
+        hi = min(rem // 2, child_cap)
+        return (rem, lo, hi) if lo <= hi else None
+
+    def _splits(self, d: int, n: int,
+                m: int) -> Iterator[Tuple[int, int, int, Optional[List[int]]]]:
+        """(gamma, lo, hi, values) per feasible root choice, gamma = 1 first.
+
+        The left numerator n1 runs over lo..hi, and values[n1 - lo] is the
+        leaf count of that split, read from the stored rows at depth d - 1.
+        values is None when the root already reaches the level, so that
+        every split fills all leaves.
+        """
+        for gamma in (1, 0):
+            window = self._window(d, n, gamma)
+            if window is None:
+                continue
+            rem, lo, hi = window
+            mm = m - gamma
+            if mm <= 0:
+                yield gamma, lo, hi, None
+            elif mm <= d:
+                r = self._rows[(d - 1, mm)]
+                right = reversed(r[rem - hi:rem - lo + 1])
+                yield gamma, lo, hi, list(map(add, r[lo:hi + 1], right))
+            else:
+                yield gamma, lo, hi, [0] * (hi - lo + 1)
+
+    def _best(self, d: int, n: int, m: int) -> int:
+        """F_d(n / 2^d, m) as a leaf count in [0, 2^d], from the stored rows at depth d - 1."""
         if m <= 0:
             return 1 << d
         if m > d + 1:
             return 0
         if d == 0:
-            return 1 if n == 1 else 0
-        key = (d, n, m)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit[0]
+            return n
         full = 1 << d
-        half = full >> 1
-        child_cap = self._cap_num(d - 1)
         best = -1
-        best_gamma = 0
-        best_left = 0
-        for gamma in (1, 0):
-            if gamma and n < full:
-                continue
-            remaining = n - (gamma << d)
-            lo = max(0, remaining - child_cap)
-            hi = min(remaining // 2, child_cap)
-            if lo > hi:
-                continue
-            mm = m - gamma
-            if mm <= 0:
-                best, best_gamma, best_left = full, gamma, hi
-                break
-            for n1 in range(lo, hi + 1):
-                val = self._count(d - 1, n1, mm) + self._count(d - 1, remaining - n1, mm)
-                if val > best:
-                    best, best_gamma, best_left = val, gamma, n1
-                    if best == full:
-                        break
+        for _, _, _, values in self._splits(d, n, m):
+            best = max(best, full if values is None else max(values))
             if best == full:
                 break
         if best < 0:
             raise AssertionError(f"infeasible state ({d}, {n}, {m}) reached")
-        assert Fraction(best, full) <= candidate_eval(
-            self.params, BellmanPoint(Fraction(n, full), Fraction(m)))
-        if len(self._memo) >= self.cell_cap:
-            raise ResourceLimitError(
-                f"memo exceeded the cell cap of {self.cell_cap} states")
-        self._memo[key] = (best, best_gamma, best_left)
+        bound = candidate_eval(self.params, BellmanPoint(Fraction(n, full), Fraction(m)))
+        if Fraction(best, full) > bound:
+            raise AssertionError(f"DP cell (d, n, m) = ({d}, {n}, {m}) has value "
+                                 f"{Fraction(best, full)} above the closed form {bound}")
         return best
 
+    @staticmethod
+    def _child_levels(d: int, levels: Set[int], gammas: Tuple[int, ...]) -> Set[int]:
+        """Stored levels at depth d - 1 read by the splits `gammas` of levels at depth d."""
+        return {m - g for m in levels for g in gammas if 1 <= m - g <= d}
+
+    def _fill_rows(self, d: int, levels: Set[int]) -> None:
+        """Store the rows (d, m), m in levels, and every row below them they need.
+
+        The rows still missing are listed first and their cells counted
+        against the cell cap before any of them is computed.
+        """
+        plan: List[Tuple[int, int]] = []
+        levels = {m for m in levels if (d, m) not in self._rows}
+        while levels:
+            plan.extend((d, m) for m in sorted(levels))
+            if d == 0:
+                break
+            # cap(d) >= 2^d because C >= 1, so every row has cells that select the root
+            levels = {m for m in self._child_levels(d, levels, (1, 0))
+                      if (d - 1, m) not in self._rows}
+            d -= 1
+        total = sum(map(len, self._rows.values()))
+        for depth, _ in plan:
+            total += self._cap_num(depth) + 1
+            if total > self.cell_cap:
+                raise ResourceLimitError(
+                    f"rows up to depth {plan[0][0]} need more than the cell cap of "
+                    f"{self.cell_cap} row cells")
+        for depth, m in reversed(plan):
+            self._rows[(depth, m)] = [self._best(depth, n, m)
+                                      for n in range(self._cap_num(depth) + 1)]
+
+    def _count(self, d: int, n: int, m: int) -> int:
+        """F_d(n / 2^d, m) as a leaf count; fills only the rows below the cell."""
+        row = self._rows.get((d, m))
+        if row is not None:
+            return row[n]
+        if 1 <= m <= d + 1 and d > 0:
+            gammas = tuple(g for g in (1, 0) if self._window(d, n, g) is not None)
+            self._fill_rows(d - 1, self._child_levels(d, {m}, gammas))
+        return self._best(d, n, m)
+
     # -- witness reconstruction ----------------------------------------------
+
+    def _split(self, d: int, n: int, m: int) -> Tuple[int, int]:
+        """(gamma, left numerator) of the maximizing split, from the stored child rows.
+
+        Ties go to gamma = 1 and then to the smallest left numerator; a
+        level already reached at the root takes the largest one.
+        """
+        best = -1
+        choice = (0, 0)
+        for gamma, lo, hi, values in self._splits(d, n, m):
+            if values is None:
+                return gamma, hi
+            top = max(values)
+            if top > best:
+                best, choice = top, (gamma, lo + values.index(top))
+            if best == 1 << d:
+                break
+        return choice
 
     def _greedy_selection(self, d: int, n: int) -> Set[NodeAddress]:
         """Any admissible depth-d selection with root average n / 2^d."""
@@ -179,7 +259,9 @@ class LevelSetDP:
         child_cap = self._cap_num(d - 1)
         n1 = min(remaining, child_cap)
         n2 = remaining - n1
-        assert n2 <= child_cap
+        if n2 > child_cap:
+            raise AssertionError(f"no admissible split at ({d}, {n}): right numerator "
+                                 f"{n2} exceeds {child_cap}")
         sel = self._shift(self._greedy_selection(d - 1, n1), left=True)
         sel |= self._shift(self._greedy_selection(d - 1, n2), left=False)
         if gamma:
@@ -196,7 +278,7 @@ class LevelSetDP:
             return self._greedy_selection(d, n)
         if d == 0:
             return {ROOT} if n == 1 else set()
-        count, gamma, n1 = self._memo[(d, n, m)]
+        gamma, n1 = self._split(d, n, m)
         remaining = n - (gamma << d)
         sel = self._shift(self._build_selection(d - 1, n1, m - gamma), left=True)
         sel |= self._shift(self._build_selection(d - 1, remaining - n1, m - gamma), left=False)
@@ -218,40 +300,34 @@ class LevelSetDP:
         return DyadicRational(count, depth), witness
 
     def cell(self, key: DPKey) -> DPCell:
-        n, m = self._check_key(key.depth, key.average, key.level)
-        count = self._count(key.depth, n, m)
-        choice = None
-        stored = self._memo.get((key.depth, n, m))
-        if stored is not None:
-            _, gamma, n1 = stored
-            remaining = n - (gamma << key.depth)
-            choice = (gamma,
-                      DyadicRational(n1, key.depth - 1),
-                      DyadicRational(remaining - n1, key.depth - 1))
-        return DPCell(DyadicRational(count, key.depth), choice)
+        return DPCell(self.value(key.depth, key.average, key.level))
 
     def witness(self, key: DPKey) -> CarlesonSeq:
-        n, m = self._check_key(key.depth, key.average, key.level)
-        self._count(key.depth, n, m)
-        return CarlesonSeq(key.depth, self._build_selection(key.depth, n, m))
+        return self.max_levelset(key.depth, key.average, key.level)[1]
 
     def table(self, depth: int, m_max: int) -> "DPTable":
-        if depth > self.depth_limit:
-            raise ValueError(f"depth {depth} exceeds the configured limit {self.depth_limit}")
+        self._check_depth(depth)
         if m_max < 0:
             raise ValueError("m_max must be >= 0")
+        self._fill_rows(depth, set(range(1, min(m_max, depth + 1) + 1)))
+        width = self._cap_num(depth) + 1
         cells: Dict[DPKey, DPCell] = {}
         for m in range(m_max + 1):
-            for n in range(self._cap_num(depth) + 1):
-                key = DPKey(depth, DyadicRational(n, depth), m)
-                cells[key] = self.cell(key)
+            if m <= 0:
+                row = [1 << depth] * width
+            elif m > depth + 1:
+                row = [0] * width
+            else:
+                row = self._rows[(depth, m)]
+            for n, count in enumerate(row):
+                cells[DPKey(depth, DyadicRational(n, depth), m)] = DPCell(
+                    DyadicRational(count, depth))
         return DPTable(C=self.C, depth=depth, m_max=m_max, cells=cells, engine=self)
 
     def convergence(self, average: RationalLike, level: int, depth_max: int,
                     depth_min: Optional[int] = None) -> List[ConvergenceRow]:
         """F_D at increasing depths with the exact gap below the closed form."""
-        if depth_max > self.depth_limit:
-            raise ValueError(f"depth {depth_max} exceeds the configured limit {self.depth_limit}")
+        self._check_depth(depth_max)
         f = to_fraction(average)
         q = f.denominator
         if q & (q - 1):

@@ -1,7 +1,7 @@
 import json
 import os
 
-from carlevel import CarlesonSeq
+from carlevel import CarlesonSeq, LevelSetDP
 from carlevel.cli import main
 
 
@@ -137,6 +137,18 @@ class TestSearchAndTable:
     def test_search_resource_cap_exit_3(self, capsys, monkeypatch):
         monkeypatch.setenv("CARLEVEL_CELL_CAP", "5")
         code, _, err = run(capsys, "search", "--C", "2", "--depth", "8", "--A", "2", "--m", "4")
+        assert code == 3
+        assert "resource limit" in err
+
+    def test_search_depth_refusals_fail_fast(self, capsys, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("a row cell was computed before the refusal")
+        monkeypatch.setattr(LevelSetDP, "_best", no_rows)
+        argv = ("search", "--C", "2", "--depth", "30", "--A", "1", "--m", "3")
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "exceeds the configured limit 12" in err
+        code, _, err = run(capsys, *argv, "--depth-limit", "40")
         assert code == 3
         assert "resource limit" in err
 

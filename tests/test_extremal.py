@@ -1,6 +1,12 @@
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+
+import carlevel
 
 from carlevel import (
     ROOT,
@@ -19,6 +25,7 @@ from carlevel import (
     dp_table,
     reconstruct_witness,
 )
+from carlevel.cli import main
 from oracles import brute_force_extremal
 
 
@@ -182,8 +189,63 @@ class TestValidation:
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
             dp_max_levelset(2, 8, 2, 4, cell_cap=10)
+        engine = LevelSetDP(2, cell_cap=10)
+        with pytest.raises(ResourceLimitError):
+            engine.value(8, 2, 4)
+        assert engine._rows == {}  # refused before any row was filled
+
+    def test_depth_limit_on_point_queries(self):
+        engine = LevelSetDP(2, depth_limit=4)
+        key = DPKey(5, DyadicRational(1), 2)
+        for query in (lambda: engine.value(5, 1, 2), lambda: engine.max_levelset(5, 1, 2),
+                      lambda: engine.cell(key), lambda: engine.witness(key)):
+            with pytest.raises(ValueError, match="exceeds the configured limit 4"):
+                query()
+        assert engine._rows == {}
 
     def test_results_reproducible_across_engines(self):
         a = LevelSetDP(Fraction(16, 5)).max_levelset(4, Fraction(5, 2), 3)
         b = LevelSetDP(Fraction(16, 5)).max_levelset(4, Fraction(5, 2), 3)
         assert a[0] == b[0] and a[1] == b[1]
+
+
+# A tiny query.  Its first filled row is F_1(., 2), whose first positive cell is
+# F_1(3/2, 2) = 1/2, above the zero closed form patched in.
+CLOSED_FORM_BREACH = "import carlevel.extremal as e\n" \
+    "e.candidate_eval = lambda params, point: 0\n" \
+    "e.LevelSetDP(2).value(2, 2, 2)\n"
+
+
+class TestClosedFormCheck:
+    def test_breach_names_the_cell(self, monkeypatch):
+        monkeypatch.setattr(carlevel.extremal, "candidate_eval", lambda params, point: 0)
+        with pytest.raises(AssertionError, match=r"\(d, n, m\) = \(1, 3, 2\)"):
+            LevelSetDP(2).value(2, 2, 2)
+
+    def test_breach_survives_optimized_mode(self):
+        src = os.path.dirname(os.path.dirname(carlevel.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", CLOSED_FORM_BREACH],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert "AssertionError: DP cell (d, n, m) = (1, 3, 2)" in proc.stderr
+
+
+class TestByteIdentity:
+    """Digests of outputs recorded with the memoised recursive engine."""
+
+    def test_table_csv_digest(self, capsys):
+        assert main(["table", "--kind", "dp", "--C", "16/5", "--depth", "8", "--m-max", "4"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "96feb340515b6621e88645100ab9a76629a29e0dd033105fdc77dd8afaa7ef91"
+
+    def test_values_and_witnesses_digest(self):
+        h = hashlib.sha256()
+        for C in (Fraction(2), Fraction(16, 5), Fraction(7)):
+            engine = LevelSetDP(C)
+            for n in range(engine._cap_num(6) + 1):
+                for m in range(5):
+                    value, witness = engine.max_levelset(6, Fraction(n, 64), m)
+                    h.update(f"{C} {n} {m} {value}\n".encode())
+                    h.update(witness.to_json().encode())
+        assert h.hexdigest() == "2e3ea4b1900ca6afe0da872803b10b307ec53b06f71d466ccf560bc0e600139d"
