@@ -23,39 +23,23 @@ from .dyadic import (
     ROOT,
     DyadicRational,
     NodeAddress,
-    Rational,
-    children,
     compare,
-    gr_compare,
-    is_ancestor,
     parse_rational,
-    relative_measure,
     to_fraction,
 )
 from .errors import AdmissibilityError, PrecisionError, ResourceLimitError
 from .extremal import (
     ConvergenceRow,
-    DPCell,
-    DPKey,
-    DPTable,
     LevelSetDP,
     convergence_report,
     dp_max_levelset,
     dp_table,
-    reconstruct_witness,
 )
 from .sequences import (
     CarlesonSeq,
     ValidationReport,
-    alpha_children,
-    carleson_average,
     carleson_constant,
-    generation_measure,
-    height_at,
-    level_set_measure,
     random_carleson,
-    sparse_generations,
-    truncate,
 )
 from .supersolution import (
     CheckGrid,
@@ -81,20 +65,15 @@ __all__ = [
     "CheckGrid",
     "CheckSummary",
     "ConvergenceRow",
-    "DPCell",
-    "DPKey",
-    "DPTable",
     "DyadicRational",
     "InductionTrace",
     "LevelSetDP",
     "NodeAddress",
     "PrecisionError",
     "ROOT",
-    "Rational",
     "ResourceLimitError",
     "ValidationReport",
     "Violation",
-    "alpha_children",
     "binary_expansion",
     "candidate_c1",
     "candidate_c2",
@@ -102,31 +81,20 @@ __all__ = [
     "candidate_eval",
     "candidate_fn",
     "candidate_surface",
-    "carleson_average",
     "carleson_constant",
     "check_jump",
     "check_main_inequality",
     "check_midpoint_concavity",
     "check_obstacle",
-    "children",
     "compare",
     "construct_admissible",
     "construct_fractional",
     "convergence_report",
     "dp_max_levelset",
     "dp_table",
-    "generation_measure",
-    "gr_compare",
-    "height_at",
     "induction_trace",
-    "is_ancestor",
-    "level_set_measure",
     "obstacle_indicator",
     "parse_rational",
     "random_carleson",
-    "reconstruct_witness",
-    "relative_measure",
-    "sparse_generations",
     "to_fraction",
-    "truncate",
 ]

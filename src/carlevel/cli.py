@@ -32,7 +32,7 @@ from .candidate import (
 from .construct import construct_admissible
 from .dyadic import parse_rational
 from .errors import AdmissibilityError, PrecisionError, ResourceLimitError
-from .extremal import CELL_CAP_ENV, DEFAULT_DEPTH_LIMIT, LevelSetDP, default_cell_cap
+from .extremal import CELL_CAP_ENV, DEFAULT_CELL_CAP, DEFAULT_DEPTH_LIMIT, LevelSetDP
 from .sequences import CarlesonSeq, ValidationReport, carleson_constant
 from .supersolution import CheckGrid, CheckSummary, obstacle_indicator, run_all_checks
 
@@ -228,8 +228,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    cap = args.cell_cap if args.cell_cap is not None else default_cell_cap()
-    engine = LevelSetDP(args.C, cell_cap=cap, depth_limit=args.depth_limit)
+    engine = LevelSetDP(args.C, cell_cap=args.cell_cap, depth_limit=args.depth_limit)
     value, witness = engine.max_levelset(args.depth, args.A, args.m)
     target = candidate_eval(engine.params, BellmanPoint(args.A, Fraction(args.m)))
     gap = target - value.as_fraction()
@@ -267,11 +266,9 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     lines = _header_lines(args)
     if args.kind == "dp":
-        cap = args.cell_cap if args.cell_cap is not None else default_cell_cap()
-        engine = LevelSetDP(args.C, cell_cap=cap, depth_limit=args.depth_limit)
-        table = engine.table(args.depth, args.m_max)
+        engine = LevelSetDP(args.C, cell_cap=args.cell_cap, depth_limit=args.depth_limit)
         lines.append("a,m,value")
-        for avg, m, value in table.rows():
+        for avg, m, value in engine.table(args.depth, args.m_max):
             lines.append(f"{avg},{m},{value}")
     else:
         params = CandidateParams.from_constant(args.C)
@@ -370,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-convergence", type=int, metavar="DMAX")
     p.add_argument("--emit-witness", metavar="PATH")
     p.add_argument("--cell-cap", type=int, help=f"row-cell budget (default ${CELL_CAP_ENV} or "
-                                                f"{default_cell_cap()})")
+                                                f"{DEFAULT_CELL_CAP})")
     p.add_argument("--depth-limit", type=int, default=DEFAULT_DEPTH_LIMIT)
     _add_common(p)
     p.set_defaults(func=cmd_search)

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Tuple, Union
 
-Rational = Fraction
-
 RationalLike = Union["DyadicRational", Fraction, int]
 
 
@@ -177,15 +175,6 @@ class DyadicRational:
         return f"DyadicRational({self.numerator}, {self.log2_denominator})"
 
 
-DYADIC_ZERO = DyadicRational(0)
-DYADIC_ONE = DyadicRational(1)
-
-
-def gr_compare(x: DyadicRational, c: RationalLike) -> int:
-    """Exact three-way comparison of a dyadic against a general rational."""
-    return compare(x, c)
-
-
 @dataclass(frozen=True, order=True)
 class NodeAddress:
     """A dyadic interval addressed combinatorially as (level, index).
@@ -241,15 +230,3 @@ class NodeAddress:
 
 
 ROOT = NodeAddress(0, 0)
-
-
-def children(a: NodeAddress) -> Tuple[NodeAddress, NodeAddress]:
-    return a.children()
-
-
-def is_ancestor(a: NodeAddress, b: NodeAddress) -> bool:
-    return a.is_ancestor_of(b)
-
-
-def relative_measure(a: NodeAddress) -> DyadicRational:
-    return a.relative_measure()

@@ -30,6 +30,11 @@ cell from the rows below it, and a witness rebuilds the maximizing split
 only along its own path.  Before filling anything, a call counts the row
 cells it would add to the cache and refuses, with ResourceLimitError, to
 take the cache past the engine's cell cap.
+
+table() returns plain sorted (a, m, value) rows of Fractions, one per
+admissible average and level, including the all-leaf and empty levels.
+It refuses, also before filling anything, when those rows would hold more
+cells than the cell cap.
 """
 
 from __future__ import annotations
@@ -50,33 +55,6 @@ DEFAULT_DEPTH_LIMIT = 12
 CELL_CAP_ENV = "CARLEVEL_CELL_CAP"
 
 
-def default_cell_cap() -> int:
-    raw = os.environ.get(CELL_CAP_ENV)
-    if raw is None:
-        return DEFAULT_CELL_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{CELL_CAP_ENV} must be an integer, got {raw!r}") from None
-    if cap <= 0:
-        raise ValueError(f"{CELL_CAP_ENV} must be positive")
-    return cap
-
-
-@dataclass(frozen=True)
-class DPKey:
-    depth: int
-    average: DyadicRational
-    level: int
-
-
-@dataclass(frozen=True)
-class DPCell:
-    """A solved state's value; witness() rebuilds the split that attains it."""
-
-    value: DyadicRational
-
-
 @dataclass(frozen=True)
 class ConvergenceRow:
     depth: int
@@ -92,7 +70,15 @@ class LevelSetDP:
         self.C = to_fraction(C)
         if self.C < 1:
             raise ValueError(f"C must be >= 1, got {self.C}")
-        self.cell_cap = default_cell_cap() if cell_cap is None else cell_cap
+        if cell_cap is None:
+            raw = os.environ.get(CELL_CAP_ENV)
+            try:
+                cell_cap = DEFAULT_CELL_CAP if raw is None else int(raw)
+            except ValueError:
+                raise ValueError(f"{CELL_CAP_ENV} must be an integer, got {raw!r}") from None
+        if cell_cap <= 0:
+            raise ValueError(f"the cell cap must be positive, got {cell_cap}")
+        self.cell_cap = cell_cap
         self.depth_limit = depth_limit
         self.params = CandidateParams.from_constant(self.C)
         # (d, m) -> F_d(n / 2^d, m) as leaf counts for n = 0..cap(d), 1 <= m <= d + 1
@@ -299,30 +285,27 @@ class LevelSetDP:
         witness = CarlesonSeq(depth, self._build_selection(depth, n, m))
         return DyadicRational(count, depth), witness
 
-    def cell(self, key: DPKey) -> DPCell:
-        return DPCell(self.value(key.depth, key.average, key.level))
-
-    def witness(self, key: DPKey) -> CarlesonSeq:
-        return self.max_levelset(key.depth, key.average, key.level)[1]
-
-    def table(self, depth: int, m_max: int) -> "DPTable":
+    def table(self, depth: int, m_max: int) -> List[Tuple[Fraction, int, Fraction]]:
+        """Every (a, m, F_depth(a, m)) with 0 <= m <= m_max, sorted by a and then m."""
         self._check_depth(depth)
         if m_max < 0:
             raise ValueError("m_max must be >= 0")
-        self._fill_rows(depth, set(range(1, min(m_max, depth + 1) + 1)))
         width = self._cap_num(depth) + 1
-        cells: Dict[DPKey, DPCell] = {}
-        for m in range(m_max + 1):
-            if m <= 0:
-                row = [1 << depth] * width
-            elif m > depth + 1:
-                row = [0] * width
-            else:
-                row = self._rows[(depth, m)]
-            for n, count in enumerate(row):
-                cells[DPKey(depth, DyadicRational(n, depth), m)] = DPCell(
-                    DyadicRational(count, depth))
-        return DPTable(C=self.C, depth=depth, m_max=m_max, cells=cells, engine=self)
+        if width * (m_max + 1) > self.cell_cap:
+            raise ResourceLimitError(
+                f"a depth-{depth} table up to level {m_max} has {width * (m_max + 1)} "
+                f"cells, more than the cell cap of {self.cell_cap}")
+        top = min(m_max, depth + 1)
+        self._fill_rows(depth, set(range(1, top + 1)))
+        full = 1 << depth
+        values = [Fraction(count, full) for count in range(full + 1)]
+        rows = [[full] * width] + [self._rows[(depth, m)] for m in range(1, top + 1)]
+        rows += [[0] * width] * (m_max - top)
+        out: List[Tuple[Fraction, int, Fraction]] = []
+        for n in range(width):
+            a = Fraction(n, full)
+            out.extend((a, m, values[row[n]]) for m, row in enumerate(rows))
+        return out
 
     def convergence(self, average: RationalLike, level: int, depth_max: int,
                     depth_min: Optional[int] = None) -> List[ConvergenceRow]:
@@ -343,21 +326,6 @@ class LevelSetDP:
         return rows
 
 
-@dataclass(frozen=True, eq=False)
-class DPTable:
-    C: Fraction
-    depth: int
-    m_max: int
-    cells: Dict[DPKey, DPCell]
-    engine: LevelSetDP
-
-    def rows(self) -> List[Tuple[Fraction, int, Fraction]]:
-        out = [(key.average.as_fraction(), key.level, cell.value.as_fraction())
-               for key, cell in self.cells.items()]
-        out.sort()
-        return out
-
-
 def dp_max_levelset(C: RationalLike, depth: int, average: RationalLike, level: int,
                     cell_cap: Optional[int] = None) -> Tuple[DyadicRational, CarlesonSeq]:
     return LevelSetDP(C, cell_cap=cell_cap).max_levelset(depth, average, level)
@@ -365,7 +333,7 @@ def dp_max_levelset(C: RationalLike, depth: int, average: RationalLike, level: i
 
 def dp_table(C: RationalLike, depth: int, m_max: int,
              cell_cap: Optional[int] = None,
-             depth_limit: int = DEFAULT_DEPTH_LIMIT) -> DPTable:
+             depth_limit: int = DEFAULT_DEPTH_LIMIT) -> List[Tuple[Fraction, int, Fraction]]:
     return LevelSetDP(C, cell_cap=cell_cap, depth_limit=depth_limit).table(depth, m_max)
 
 
@@ -375,8 +343,3 @@ def convergence_report(C: RationalLike, average: RationalLike, level: int,
     return LevelSetDP(C, cell_cap=cell_cap).convergence(average, level, depth_max,
                                                         depth_min=depth_min)
 
-
-def reconstruct_witness(table: DPTable, key: DPKey) -> CarlesonSeq:
-    if key not in table.cells:
-        raise KeyError(f"no cell for {key} in this table")
-    return table.engine.witness(key)

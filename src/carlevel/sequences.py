@@ -179,7 +179,7 @@ class CarlesonSeq:
         if fmt != JSON_FORMAT:
             raise ValueError(f'field "format": expected "{JSON_FORMAT}", got {fmt!r}')
         depth = data.get("depth")
-        if not isinstance(depth, int) or depth < 0:
+        if type(depth) is not int or depth < 0:
             raise ValueError(f'field "depth": expected a non-negative integer, got {depth!r}')
         raw = data.get("selected")
         if not isinstance(raw, list):
@@ -187,13 +187,20 @@ class CarlesonSeq:
         sel = []
         for pos, entry in enumerate(raw):
             if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                    or not all(isinstance(v, int) for v in entry)):
+                    or not all(type(v) is int for v in entry)):
                 raise ValueError(f'field "selected"[{pos}]: expected [level, index], got {entry!r}')
             try:
                 sel.append(NodeAddress(entry[0], entry[1]))
             except ValueError as exc:
                 raise ValueError(f'field "selected"[{pos}]: {exc}') from None
-        return cls(depth, sel)
+        seq = cls(depth, sel)
+        if len(seq.selected) != len(sel):
+            first: Dict[NodeAddress, int] = {}
+            for pos, a in enumerate(sel):
+                if first.setdefault(a, pos) != pos:
+                    raise ValueError(f'field "selected"[{pos}]: {raw[pos]!r} repeats '
+                                     f'entry {first[a]}')
+        return seq
 
     @classmethod
     def from_json(cls, text: str) -> "CarlesonSeq":
@@ -212,10 +219,6 @@ class ValidationReport:
     average_at_root: DyadicRational
     is_c_carleson: Optional[bool]
     worst_witness: NodeAddress
-
-
-def carleson_average(seq: CarlesonSeq, j: NodeAddress) -> DyadicRational:
-    return seq.carleson_average(j)
 
 
 def carleson_constant(seq: CarlesonSeq, C: Optional[RationalLike] = None) -> ValidationReport:
@@ -242,30 +245,6 @@ def carleson_constant(seq: CarlesonSeq, C: Optional[RationalLike] = None) -> Val
         is_c_carleson=is_c,
         worst_witness=witness,
     )
-
-
-def alpha_children(seq: CarlesonSeq, j: NodeAddress) -> List[NodeAddress]:
-    return seq.alpha_children(j)
-
-
-def sparse_generations(seq: CarlesonSeq) -> List[List[NodeAddress]]:
-    return seq.sparse_generations()
-
-
-def generation_measure(seq: CarlesonSeq, m: int) -> DyadicRational:
-    return seq.generation_measure(m)
-
-
-def height_at(seq: CarlesonSeq, leaf: NodeAddress) -> int:
-    return seq.height_at(leaf)
-
-
-def level_set_measure(seq: CarlesonSeq, threshold: RationalLike) -> DyadicRational:
-    return seq.level_set_measure(threshold)
-
-
-def truncate(seq: CarlesonSeq, n: int) -> CarlesonSeq:
-    return seq.truncate(n)
 
 
 def random_carleson(depth: int, C: RationalLike, rng_seed: int,

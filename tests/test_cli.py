@@ -152,6 +152,27 @@ class TestSearchAndTable:
         assert code == 3
         assert "resource limit" in err
 
+    def test_cell_cap_is_validated_where_it_is_used(self, capsys, monkeypatch):
+        monkeypatch.setenv("CARLEVEL_CELL_CAP", "abc")
+        code, out, _ = run(capsys, "eval", "--C", "2", "--A", "1", "--lambda", "1")
+        assert code == 0 and out.strip().splitlines()[-1] == "1"
+        code, _, err = run(capsys, "search", "--C", "2", "--depth", "2", "--A", "2", "--m", "2")
+        assert code == 2 and "CARLEVEL_CELL_CAP must be an integer" in err
+        monkeypatch.delenv("CARLEVEL_CELL_CAP")
+        for cap in ("0", "-5"):
+            code, _, err = run(capsys, "search", "--C", "2", "--depth", "2", "--A", "2",
+                               "--m", "2", "--cell-cap", cap)
+            assert code == 2 and "cell cap must be positive" in err
+
+    def test_dp_table_output_is_budgeted(self, capsys, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("a row cell was computed before the refusal")
+        monkeypatch.setattr(LevelSetDP, "_best", no_rows)
+        code, _, err = run(capsys, "table", "--kind", "dp", "--C", "2", "--depth", "2",
+                           "--m-max", str(10**12))
+        assert code == 3
+        assert "resource limit" in err
+
     def test_dp_table_csv(self, capsys):
         code, out, _ = run(capsys, "table", "--kind", "dp", "--C", "1",
                            "--depth", "3", "--m-max", "2")

@@ -4,17 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from carlevel import (
-    ROOT,
-    DyadicRational,
-    NodeAddress,
-    children,
-    compare,
-    gr_compare,
-    is_ancestor,
-    parse_rational,
-    relative_measure,
-)
+from carlevel import ROOT, DyadicRational, NodeAddress, compare, parse_rational
 
 
 class TestDyadicRational:
@@ -42,10 +32,10 @@ class TestDyadicRational:
             DyadicRational.parse("0.1")  # 1/10 has no finite binary expansion
 
     def test_general_rational_comparison(self):
-        assert gr_compare(DyadicRational(13, 4), Fraction(16, 5)) == -1
-        assert gr_compare(DyadicRational(2, 0), Fraction(2, 1)) == 0
+        assert compare(DyadicRational(13, 4), Fraction(16, 5)) == -1
+        assert compare(DyadicRational(2, 0), Fraction(2, 1)) == 0
         # 11/4 vs 16/5 cross-multiplies to 55 < 64
-        assert gr_compare(DyadicRational(11, 2), Fraction(16, 5)) == -1
+        assert compare(DyadicRational(11, 2), Fraction(16, 5)) == -1
         assert compare(Fraction(16, 5), DyadicRational(13, 4)) == 1
 
     def test_parse_and_render(self):
@@ -94,9 +84,9 @@ class TestDyadicRational:
 
 class TestNodeAddress:
     def test_children_examples(self):
-        assert children(NodeAddress(0, 0)) == (NodeAddress(1, 0), NodeAddress(1, 1))
-        assert children(NodeAddress(1, 1)) == (NodeAddress(2, 2), NodeAddress(2, 3))
-        assert children(NodeAddress(3, 5)) == (NodeAddress(4, 10), NodeAddress(4, 11))
+        assert NodeAddress(0, 0).children() == (NodeAddress(1, 0), NodeAddress(1, 1))
+        assert NodeAddress(1, 1).children() == (NodeAddress(2, 2), NodeAddress(2, 3))
+        assert NodeAddress(3, 5).children() == (NodeAddress(4, 10), NodeAddress(4, 11))
 
     def test_parent_inverts_children(self):
         for a in (NodeAddress(3, 5), NodeAddress(7, 100)):
@@ -106,21 +96,21 @@ class TestNodeAddress:
             ROOT.parent()
 
     def test_is_ancestor_examples(self):
-        assert is_ancestor(ROOT, NodeAddress(5, 17))
-        assert is_ancestor(NodeAddress(2, 1), NodeAddress(4, 7))
-        assert not is_ancestor(NodeAddress(2, 1), NodeAddress(2, 2))
-        assert is_ancestor(NodeAddress(2, 1), NodeAddress(2, 1))
+        assert ROOT.is_ancestor_of(NodeAddress(5, 17))
+        assert NodeAddress(2, 1).is_ancestor_of(NodeAddress(4, 7))
+        assert not NodeAddress(2, 1).is_ancestor_of(NodeAddress(2, 2))
+        assert NodeAddress(2, 1).is_ancestor_of(NodeAddress(2, 1))
 
     def test_relative_measure_examples(self):
-        assert relative_measure(ROOT) == DyadicRational(1)
-        assert relative_measure(NodeAddress(3, 5)) == Fraction(1, 8)
-        assert relative_measure(NodeAddress(10, 0)) == Fraction(1, 1024)
+        assert ROOT.relative_measure() == DyadicRational(1)
+        assert NodeAddress(3, 5).relative_measure() == Fraction(1, 8)
+        assert NodeAddress(10, 0).relative_measure() == Fraction(1, 1024)
 
     def test_level_partition(self):
         for level in range(9):
             total = DyadicRational(0)
             for index in range(1 << level):
-                total = total + relative_measure(NodeAddress(level, index))
+                total = total + NodeAddress(level, index).relative_measure()
             assert total == DyadicRational(1)
 
     def test_trichotomy(self):

@@ -13,8 +13,6 @@ from carlevel import (
     AdmissibilityError,
     BellmanPoint,
     CandidateParams,
-    DPKey,
-    DyadicRational,
     LevelSetDP,
     PrecisionError,
     ResourceLimitError,
@@ -23,7 +21,6 @@ from carlevel import (
     convergence_report,
     dp_max_levelset,
     dp_table,
-    reconstruct_witness,
 )
 from carlevel.cli import main
 from oracles import brute_force_extremal
@@ -116,38 +113,36 @@ class TestUpperBoundAndMonotonicity:
 
 class TestTable:
     def test_c1_row_two_is_zero(self):
-        table = dp_table(1, 3, 2)
-        for key, cell in table.cells.items():
-            if key.level == 2:
-                assert cell.value == 0
+        for a, m, value in dp_table(1, 3, 2):
+            if m == 2:
+                assert value == 0
 
     def test_c2_depth1_select_root(self):
-        table = dp_table(2, 1, 1)
-        cell = table.cells[DPKey(1, DyadicRational(1), 1)]
-        assert cell.value == 1
+        values = {(a, m): value for a, m, value in dp_table(2, 1, 1)}
+        assert values[(1, 1)] == 1
 
     def test_rows_sorted_and_complete(self):
-        table = dp_table(2, 2, 1)
-        rows = table.rows()
+        rows = dp_table(2, 2, 1)
         assert len(rows) == 9 * 2
         assert rows == sorted(rows)
 
     def test_every_cell_witness_round_trips(self):
         for depth in range(0, 5):
-            table = dp_table(2, depth, 3)
-            for key, cell in table.cells.items():
-                witness = reconstruct_witness(table, key)
-                check_witness(witness, Fraction(2), key.average.as_fraction(),
-                              key.level, cell.value)
-
-    def test_missing_key_is_lookup_error(self):
-        table = dp_table(2, 2, 1)
-        with pytest.raises(KeyError):
-            reconstruct_witness(table, DPKey(2, DyadicRational(1), 9))
+            engine = LevelSetDP(2)
+            for a, m, value in engine.table(depth, 3):
+                witness = engine.max_levelset(depth, a, m)[1]
+                check_witness(witness, Fraction(2), a, m, value)
 
     def test_depth_limit_enforced(self):
         with pytest.raises(ValueError):
             dp_table(2, 13, 1)
+
+    def test_output_cells_within_the_cap(self):
+        engine = LevelSetDP(2, cell_cap=17)
+        with pytest.raises(ResourceLimitError, match="has 27 cells"):
+            engine.table(2, 2)  # 9 averages x 3 levels
+        assert engine._rows == {}  # refused before any row was filled
+        assert len(LevelSetDP(2, cell_cap=18).table(2, 1)) == 18
 
 
 class TestConvergence:
@@ -196,9 +191,8 @@ class TestValidation:
 
     def test_depth_limit_on_point_queries(self):
         engine = LevelSetDP(2, depth_limit=4)
-        key = DPKey(5, DyadicRational(1), 2)
         for query in (lambda: engine.value(5, 1, 2), lambda: engine.max_levelset(5, 1, 2),
-                      lambda: engine.cell(key), lambda: engine.witness(key)):
+                      lambda: engine.table(5, 2), lambda: engine.convergence(1, 2, 5)):
             with pytest.raises(ValueError, match="exceeds the configured limit 4"):
                 query()
         assert engine._rows == {}
@@ -238,6 +232,14 @@ class TestByteIdentity:
         assert main(["table", "--kind", "dp", "--C", "16/5", "--depth", "8", "--m-max", "4"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "96feb340515b6621e88645100ab9a76629a29e0dd033105fdc77dd8afaa7ef91"
+
+    def test_table_csv_digest_with_empty_levels(self, capsys):
+        # levels 4 and 5 lie above depth + 1, so their rows are all zero
+        assert main(["table", "--kind", "dp", "--C", "7", "--depth", "2", "--m-max", "5"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 82
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "2aa322166d4d0d101951ef28d2824acea553b43fce8e31a675a4bc657dfc5e52"
 
     def test_values_and_witnesses_digest(self):
         h = hashlib.sha256()

@@ -1,0 +1,26 @@
+import carlevel
+import carlevel.dyadic
+import carlevel.extremal
+import carlevel.sequences
+
+# Module-level spellings that duplicated a method or another name.
+REMOVED = {
+    carlevel.dyadic: ("Rational", "DYADIC_ZERO", "DYADIC_ONE", "gr_compare", "children",
+                      "is_ancestor", "relative_measure"),
+    carlevel.sequences: ("carleson_average", "alpha_children", "sparse_generations",
+                         "generation_measure", "height_at", "level_set_measure", "truncate"),
+    carlevel.extremal: ("DPKey", "DPCell", "DPTable", "reconstruct_witness",
+                        "default_cell_cap"),
+}
+
+
+def test_public_surface():
+    names = carlevel.__all__
+    assert len(names) == len(set(names))
+    namespace = {}
+    exec("from carlevel import *", namespace)
+    assert set(names) <= set(namespace)
+    for module, removed in REMOVED.items():
+        for name in removed:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+            assert not hasattr(carlevel, name), name

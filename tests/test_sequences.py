@@ -184,6 +184,20 @@ class TestJson:
         with pytest.raises(ValueError, match="line 1"):
             CarlesonSeq.from_json("{nope")
 
+    def test_rejects_boolean_depth(self):
+        with pytest.raises(ValueError, match='field "depth"'):
+            CarlesonSeq.from_json('{"format": "carleson-seq/1", "depth": true, "selected": []}')
+
+    def test_rejects_boolean_address(self):
+        with pytest.raises(ValueError, match=r'selected"\[1\]'):
+            CarlesonSeq.from_json(
+                '{"format": "carleson-seq/1", "depth": 1, "selected": [[0, 0], [true, 0]]}')
+
+    def test_rejects_duplicate_address(self):
+        with pytest.raises(ValueError, match=r'selected"\[2\]: \[1, 0\] repeats entry 0'):
+            CarlesonSeq.from_json(
+                '{"format": "carleson-seq/1", "depth": 1, "selected": [[1, 0], [0, 0], [1, 0]]}')
+
     def test_ignores_extra_keys(self):
         seq = CarlesonSeq.from_json(
             '{"format": "carleson-seq/1", "depth": 0, "selected": [[0, 0]], '
