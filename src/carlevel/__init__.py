@@ -28,13 +28,7 @@ from .dyadic import (
     to_fraction,
 )
 from .errors import AdmissibilityError, PrecisionError, ResourceLimitError
-from .extremal import (
-    ConvergenceRow,
-    LevelSetDP,
-    convergence_report,
-    dp_max_levelset,
-    dp_table,
-)
+from .extremal import ConvergenceRow, LevelSetDP
 from .sequences import (
     CarlesonSeq,
     ValidationReport,
@@ -89,9 +83,6 @@ __all__ = [
     "compare",
     "construct_admissible",
     "construct_fractional",
-    "convergence_report",
-    "dp_max_levelset",
-    "dp_table",
     "induction_trace",
     "obstacle_indicator",
     "parse_rational",

@@ -20,9 +20,13 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .dyadic import RationalLike, ceil_rational, floor_rational, to_fraction
+from .errors import ResourceLimitError
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
+
+# Thresholds x averages that a surface export or a grid certificate may visit.
+MAX_GRID_POINTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -112,6 +116,20 @@ def candidate_fn(params: CandidateParams):
     return fn
 
 
+def require_grid_budget(C: Fraction, a_exp: int, thresholds: int) -> None:
+    """Refuse a grid of more than MAX_GRID_POINTS points before allocating any.
+
+    The grid is `thresholds` thresholds times the averages j / 2^a_exp in
+    [0, C].  Since C >= 1 there are more than 2^a_exp averages, so a huge
+    exponent is refused without shifting by it.
+    """
+    if (a_exp >= MAX_GRID_POINTS.bit_length()
+            or thresholds * ((C.numerator << a_exp) // C.denominator + 1) > MAX_GRID_POINTS):
+        raise ResourceLimitError(
+            f"{thresholds} threshold(s) x averages j/2^{a_exp} in [0, {C}] exceed "
+            f"the grid budget of {MAX_GRID_POINTS} points")
+
+
 def candidate_surface(params: CandidateParams, a_grid_denominator_exp: int,
                       lambda_range: Tuple[int, int]) -> List[Tuple[Fraction, int, Fraction]]:
     """Exact values over the dyadic average grid and an integer threshold range."""
@@ -120,6 +138,7 @@ def candidate_surface(params: CandidateParams, a_grid_denominator_exp: int,
     lo, hi = lambda_range
     if lo > hi:
         raise ValueError(f"empty threshold range [{lo}, {hi}]")
+    require_grid_budget(params.C, a_grid_denominator_exp, hi - lo + 1)
     scale = 1 << a_grid_denominator_exp
     max_index = (params.C.numerator * scale) // params.C.denominator
     rows: List[Tuple[Fraction, int, Fraction]] = []

@@ -1,4 +1,4 @@
-"""Exact dyadic-rational arithmetic and combinatorial dyadic-grid addresses.
+"""Exact dyadic rationals and combinatorial dyadic-grid addresses.
 
 Numbers of the form p/2^e are kept in a dedicated type so that quantities
 which are provably dyadic (interval measures, selection averages) can never
@@ -55,8 +55,8 @@ class DyadicRational:
     """Exact number numerator / 2^log2_denominator, eagerly canonicalized.
 
     Canonical form: the numerator is odd or zero, or the exponent is 0, so
-    equality is structural.  Closed under +, -, *, negation, halving and
-    doubling; never constructible from a non-dyadic rational.
+    equality is structural.  Never constructible from a non-dyadic rational;
+    arithmetic goes through ``as_fraction()``.
     """
 
     __slots__ = ("numerator", "log2_denominator")
@@ -94,44 +94,6 @@ class DyadicRational:
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, 1 << self.log2_denominator)
-
-    def _align(self, other: "DyadicRational") -> Tuple[int, int, int]:
-        e = max(self.log2_denominator, other.log2_denominator)
-        a = self.numerator << (e - self.log2_denominator)
-        b = other.numerator << (e - other.log2_denominator)
-        return a, b, e
-
-    def __add__(self, other: "DyadicRational") -> "DyadicRational":
-        a, b, e = self._align(self._coerce(other))
-        return DyadicRational(a + b, e)
-
-    def __sub__(self, other: "DyadicRational") -> "DyadicRational":
-        a, b, e = self._align(self._coerce(other))
-        return DyadicRational(a - b, e)
-
-    def __mul__(self, other: "DyadicRational") -> "DyadicRational":
-        other = self._coerce(other)
-        return DyadicRational(self.numerator * other.numerator,
-                              self.log2_denominator + other.log2_denominator)
-
-    def __neg__(self) -> "DyadicRational":
-        return DyadicRational(-self.numerator, self.log2_denominator)
-
-    def halve(self) -> "DyadicRational":
-        return DyadicRational(self.numerator, self.log2_denominator + 1)
-
-    def double(self) -> "DyadicRational":
-        return DyadicRational(self.numerator * 2, self.log2_denominator)
-
-    @staticmethod
-    def _coerce(x: RationalLike) -> "DyadicRational":
-        if isinstance(x, DyadicRational):
-            return x
-        if isinstance(x, int):
-            return DyadicRational(x)
-        if isinstance(x, Fraction):
-            return DyadicRational.from_fraction(x)
-        raise TypeError(f"cannot coerce {x!r} to DyadicRational")
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, DyadicRational):

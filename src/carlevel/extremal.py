@@ -325,21 +325,3 @@ class LevelSetDP:
                                        gap=target - val.as_fraction()))
         return rows
 
-
-def dp_max_levelset(C: RationalLike, depth: int, average: RationalLike, level: int,
-                    cell_cap: Optional[int] = None) -> Tuple[DyadicRational, CarlesonSeq]:
-    return LevelSetDP(C, cell_cap=cell_cap).max_levelset(depth, average, level)
-
-
-def dp_table(C: RationalLike, depth: int, m_max: int,
-             cell_cap: Optional[int] = None,
-             depth_limit: int = DEFAULT_DEPTH_LIMIT) -> List[Tuple[Fraction, int, Fraction]]:
-    return LevelSetDP(C, cell_cap=cell_cap, depth_limit=depth_limit).table(depth, m_max)
-
-
-def convergence_report(C: RationalLike, average: RationalLike, level: int,
-                       depth_max: int, depth_min: Optional[int] = None,
-                       cell_cap: Optional[int] = None) -> List[ConvergenceRow]:
-    return LevelSetDP(C, cell_cap=cell_cap).convergence(average, level, depth_max,
-                                                        depth_min=depth_min)
-

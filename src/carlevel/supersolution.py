@@ -8,19 +8,21 @@ two-point inequality
 
 for g in {0, 1} with A + g <= C.  The g = 0 case is midpoint concavity in
 the first variable; taking A1 = A2 and g = 1 gives the jump inequality
-G(A + 1, t + 1) >= G(A, t).  The checkers here verify these on exhaustive
-exact dyadic grids: every reported violation is a strict rational
-inequality, never a tolerance artifact.
+G(A + 1, t + 1) >= G(A, t).  The checkers verify these on exhaustive exact
+dyadic grids, all four read from one tabulation per threshold; every
+reported violation is a strict rational inequality, never a tolerance
+artifact.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .candidate import BellmanPoint
+from .candidate import BellmanPoint, require_grid_budget
 from .dyadic import ROOT, NodeAddress, RationalLike, floor_rational, to_fraction
 from .sequences import CarlesonSeq
 
@@ -61,6 +63,7 @@ class CheckGrid:
         bound = to_fraction(C)
         if bound < 1:
             raise ValueError("C must be >= 1")
+        require_grid_budget(bound, a_exp, lambda_max - lambda_min + 1 + len(extra_lambdas))
         lams = {Fraction(k) for k in range(lambda_min, lambda_max + 1)}
         lams.update(to_fraction(x) for x in extra_lambdas)
         return cls(a_denominator_exp=a_exp, lambda_values=tuple(sorted(lams)), C=bound)
@@ -110,97 +113,109 @@ def _jump_case(lam: Fraction, floor_c: int) -> str:
     return "jump_case_4"
 
 
-def _fine_values(fn: EvaluableFn, grid: CheckGrid, lam: Fraction) -> List[Fraction]:
-    """fn(., lam) tabulated on the half-step grid j / 2^(exp+1), j = 0..2n."""
+# Each threshold t is tabulated once, on the half-step grid j / 2^(e+1):
+#   fine[j] = fn(j / 2^(e+1), t)          for j = 0..2n, n = floor(C * 2^e),
+#   up[j]   = fn(j / 2^(e+1) + 1, t + 1)  while j / 2^(e+1) + 1 <= C,
+# and all four checks read those two rows.  up is never borrowed from another
+# threshold's row: t + 1 is often not a grid threshold.  The probes run in
+# O(grid size) per threshold instead of O(grid size^2), using an exact
+# equivalence: over a uniform grid, "fn(mid) >= (fn(A1) + fn(A2)) / 2 for ALL
+# grid pairs A1, A2" holds iff the adjacent-pair probes (midpoints at
+# half-steps) and the distance-2 probes (discrete concavity of the grid
+# sequence) all hold.  Both probe families are themselves pair instances,
+# and together they imply the rest: discrete concavity pushes any chord
+# value below the minimal-spread pair with the same midpoint, and the
+# half-step probe finishes odd midpoints.  The brute all-pairs scans are
+# kept in the test suite as independent oracles.
+
+
+def _threshold_checks(fn: EvaluableFn, grid: CheckGrid, lam: Fraction,
+                      coverage: Counter) -> Tuple[List[Violation], ...]:
+    """Obstacle, concavity, jump and main violations at one threshold."""
     scale = 1 << (grid.a_denominator_exp + 1)
-    return [fn(Fraction(j, scale), lam) for j in range(2 * grid.coarse_count + 1)]
+    top = 2 * grid.coarse_count
+    up_top = (grid.C.numerator * scale) // grid.C.denominator - scale
+    fine = [fn(Fraction(j, scale), lam) for j in range(top + 1)]
+    up = [fn(Fraction(j + scale, scale), lam + 1) for j in range(up_top + 1)]
+
+    def pt(j: int, t: Fraction = lam) -> BellmanPoint:
+        return BellmanPoint(Fraction(j, scale), t)
+
+    if lam <= 0:
+        coverage["obstacle"] += top // 2 + 1
+    obstacle = [Violation("obstacle", (pt(j),), *sorted((fine[j], ONE)))
+                for j in range(0, top + 1, 2) if lam <= 0 and fine[j] != 1]
+
+    # (mid, half-width): the n half-step probes first, then the n - 1 distance-2 probes
+    probes = chain(((m, 1) for m in range(1, top, 2)), ((m, 2) for m in range(2, top - 1, 2)))
+    coverage[_concavity_case(lam, floor_rational(grid.C))] += top - 1
+    concavity = [Violation("concavity", (pt(m - h), pt(m + h), pt(m)), fine[m], rhs)
+                 for m, h in probes if fine[m] < (rhs := (fine[m - h] + fine[m + h]) / 2)]
+
+    coverage[_jump_case(lam, floor_rational(grid.C))] += up_top // 2 + 1
+    jump = [Violation("jump", (pt(j), pt(j + scale, lam + 1)), up[j], fine[j])
+            for j in range(0, up_top + 1, 2) if up[j] < fine[j]]
+
+    # g = 0 is the concavity probes again; g = 1 pairs equal points at even j
+    # and the adjacent half-step pair at odd j
+    coverage["main_gamma0"] += top - 1
+    coverage["main_gamma1"] += up_top + 1
+    main = [replace(v, kind="main") for v in concavity]
+    for j in range(up_top + 1):
+        h = j % 2
+        rhs = (fine[j - 1] + fine[j + 1]) / 2 if h else fine[j]
+        if up[j] < rhs:
+            main.append(Violation("main", (pt(j - h), pt(j + h), pt(j + scale, lam + 1)),
+                                  up[j], rhs))
+    return obstacle, concavity, jump, main
+
+
+def _all_checks(fn: EvaluableFn, grid: CheckGrid,
+                coverage: Counter) -> Tuple[List[Violation], ...]:
+    """The four violation lists over every threshold, from one tabulation each."""
+    found: Tuple[List[Violation], ...] = ([], [], [], [])
+    for lam in grid.lambda_values:
+        for acc, part in zip(found, _threshold_checks(fn, grid, lam, coverage)):
+            acc.extend(part)
+    return found
+
+
+def _verify_reduction(concavity: Sequence[Violation], jump: Sequence[Violation],
+                      main: Sequence[Violation]) -> None:
+    """Main violations must exist iff concavity or jump violations exist."""
+    if bool(main) != bool(concavity or jump):
+        raise RuntimeError(
+            "reduction mismatch: the main inequality and the "
+            "concavity-plus-jump pair disagree on this grid")
+
+
+def _one_check(which: int, fn: EvaluableFn, grid: CheckGrid,
+               coverage: Optional[Counter]) -> Tuple[List[Violation], ...]:
+    """Every list of the one pass; only the keys of check `which` reach coverage."""
+    counts: Counter = Counter()
+    found = _all_checks(fn, grid, counts)
+    if coverage is not None:
+        prefix = ("obstacle", "concavity", "jump", "main")[which]
+        coverage.update({k: v for k, v in counts.items() if k.startswith(prefix)})
+    return found
 
 
 def check_obstacle(fn: EvaluableFn, grid: CheckGrid,
                    coverage: Optional[Counter] = None) -> List[Violation]:
     """Empty iff fn(A, t) = 1 for every grid average and every grid t <= 0."""
-    violations: List[Violation] = []
-    for lam in grid.lambda_values:
-        if lam > 0:
-            continue
-        for avg in grid.coarse_values():
-            if coverage is not None:
-                coverage["obstacle"] += 1
-            val = fn(avg, lam)
-            if val != 1:
-                lhs, rhs = (val, ONE) if val < 1 else (ONE, val)
-                violations.append(Violation("obstacle", (BellmanPoint(avg, lam),), lhs, rhs))
-    return violations
-
-
-# The concavity and main-inequality checks run in O(grid size) per threshold
-# instead of O(grid size^2), using an exact equivalence: over a uniform grid,
-# "fn(mid) >= (fn(A1) + fn(A2)) / 2 for ALL grid pairs A1, A2" holds iff the
-# adjacent-pair probes (midpoints at half-steps) and the distance-2 probes
-# (discrete concavity of the grid sequence) all hold.  Both probe families
-# are themselves pair instances, and together they imply the rest: discrete
-# concavity pushes any chord value below the minimal-spread pair with the
-# same midpoint, and the half-step probe finishes odd midpoints.  The brute
-# all-pairs scan is kept in the test suite as an independent oracle.
-
-
-def _concavity_probes(fn: EvaluableFn, grid: CheckGrid, lam: Fraction, kind: str,
-                      coverage: Optional[Counter], coverage_key: Optional[str] = None,
-                      ) -> Tuple[List[Violation], List[Fraction]]:
-    fine = _fine_values(fn, grid, lam)
-    case = coverage_key or _concavity_case(lam, floor_rational(grid.C))
-    scale = 1 << (grid.a_denominator_exp + 1)
-    top = len(fine) - 1
-    violations: List[Violation] = []
-
-    def record(mid_idx: int, left_idx: int, right_idx: int) -> None:
-        lhs = fine[mid_idx]
-        rhs = (fine[left_idx] + fine[right_idx]) / 2
-        if coverage is not None:
-            coverage[case] += 1
-        if lhs < rhs:
-            pts = (BellmanPoint(Fraction(left_idx, scale), lam),
-                   BellmanPoint(Fraction(right_idx, scale), lam),
-                   BellmanPoint(Fraction(mid_idx, scale), lam))
-            violations.append(Violation(kind, pts, lhs, rhs))
-
-    for t in range(1, top, 2):
-        record(t, t - 1, t + 1)
-    for t in range(2, top - 1, 2):
-        record(t, t - 2, t + 2)
-    return violations, fine
+    return _one_check(0, fn, grid, coverage)[0]
 
 
 def check_midpoint_concavity(fn: EvaluableFn, grid: CheckGrid,
                              coverage: Optional[Counter] = None) -> List[Violation]:
     """Empty iff fn((A1+A2)/2, t) >= (fn(A1,t) + fn(A2,t))/2 for all grid pairs."""
-    violations: List[Violation] = []
-    for lam in grid.lambda_values:
-        vs, _ = _concavity_probes(fn, grid, lam, "concavity", coverage)
-        violations.extend(vs)
-    return violations
+    return _one_check(1, fn, grid, coverage)[1]
 
 
 def check_jump(fn: EvaluableFn, grid: CheckGrid,
                coverage: Optional[Counter] = None) -> List[Violation]:
     """Empty iff fn(A+1, t+1) >= fn(A, t) for every grid average A <= C - 1."""
-    violations: List[Violation] = []
-    floor_c = floor_rational(grid.C)
-    for lam in grid.lambda_values:
-        case = _jump_case(lam, floor_c)
-        for avg in grid.coarse_values():
-            if avg + 1 > grid.C:
-                break
-            if coverage is not None:
-                coverage[case] += 1
-            lhs = fn(avg + 1, lam + 1)
-            rhs = fn(avg, lam)
-            if lhs < rhs:
-                violations.append(Violation(
-                    "jump",
-                    (BellmanPoint(avg, lam), BellmanPoint(avg + 1, lam + 1)),
-                    lhs, rhs))
-    return violations
+    return _one_check(2, fn, grid, coverage)[2]
 
 
 def check_main_inequality(fn: EvaluableFn, grid: CheckGrid,
@@ -208,47 +223,18 @@ def check_main_inequality(fn: EvaluableFn, grid: CheckGrid,
                           verify_reduction: bool = True) -> List[Violation]:
     """Empty iff the full two-point shifted inequality holds on the grid.
 
-    The g = 0 instances reduce to the concavity probes.  Given those, any
-    g = 1 instance is dominated by its minimal-spread counterpart with the
-    same midpoint, so probing equal pairs at grid points and adjacent pairs
-    at half-step midpoints (both genuine instances) covers every pair.
+    The g = 0 instances are the concavity probes.  Given those, any g = 1
+    instance is dominated by its minimal-spread counterpart with the same
+    midpoint, so probing equal pairs at grid points and adjacent pairs at
+    half-step midpoints (both genuine instances) covers every pair.
 
     Also cross-checks the reduction: main violations must exist iff
     concavity or jump violations exist on the same grid.
     """
-    violations: List[Violation] = []
-    fine_scale = 1 << (grid.a_denominator_exp + 1)
-    for lam in grid.lambda_values:
-        gamma0, fine = _concavity_probes(fn, grid, lam, "main", coverage,
-                                         coverage_key="main_gamma0")
-        violations.extend(gamma0)
-        for m in range(len(fine)):
-            avg = Fraction(m, fine_scale)
-            if avg + 1 > grid.C:
-                break
-            lhs = fn(avg + 1, lam + 1)
-            if m % 2 == 0:
-                rhs = fine[m]
-                pts = (BellmanPoint(avg, lam), BellmanPoint(avg, lam),
-                       BellmanPoint(avg + 1, lam + 1))
-            else:
-                rhs = (fine[m - 1] + fine[m + 1]) / 2
-                pts = (BellmanPoint(Fraction(m - 1, fine_scale), lam),
-                       BellmanPoint(Fraction(m + 1, fine_scale), lam),
-                       BellmanPoint(avg + 1, lam + 1))
-            if coverage is not None:
-                coverage["main_gamma1"] += 1
-            if lhs < rhs:
-                violations.append(Violation("main", pts, lhs, rhs))
-
+    _, concavity, jump, main = _one_check(3, fn, grid, coverage)
     if verify_reduction:
-        concavity = check_midpoint_concavity(fn, grid)
-        jump = check_jump(fn, grid)
-        if bool(violations) != bool(concavity or jump):
-            raise RuntimeError(
-                "reduction mismatch: the main inequality and the "
-                "concavity-plus-jump pair disagree on this grid")
-    return violations
+        _verify_reduction(concavity, jump, main)
+    return main
 
 
 @dataclass(frozen=True)
@@ -271,11 +257,10 @@ class CheckSummary:
 
 
 def run_all_checks(fn: EvaluableFn, grid: CheckGrid) -> CheckSummary:
+    """All four checks in one pass over the thresholds, reduction cross-checked."""
     coverage: Counter = Counter()
-    obstacle = check_obstacle(fn, grid, coverage)
-    concavity = check_midpoint_concavity(fn, grid, coverage)
-    jump = check_jump(fn, grid, coverage)
-    main = check_main_inequality(fn, grid, coverage)
+    obstacle, concavity, jump, main = _all_checks(fn, grid, coverage)
+    _verify_reduction(concavity, jump, main)
     return CheckSummary(grid=grid, obstacle=tuple(obstacle), concavity=tuple(concavity),
                         jump=tuple(jump), main=tuple(main), coverage=coverage)
 

@@ -67,13 +67,12 @@ def brute_heights(selected: Iterable[NodeAddress], depth: int) -> List[int]:
     return out
 
 
-def brute_levelset(selected: Iterable[NodeAddress], depth: int, threshold: Fraction) -> Fraction:
-    """Leaf-counting level-set measure, straight from heights."""
+def brute_levelset(heights: List[int], threshold: Fraction) -> Fraction:
+    """Leaf-counting level-set measure, straight from brute_heights' leaf heights."""
     t = Fraction(threshold)
     if t <= 0:
         return Fraction(1)
-    hs = brute_heights(selected, depth)
-    return Fraction(sum(1 for h in hs if h >= t), 1 << depth)
+    return Fraction(sum(1 for h in heights if h >= t), len(heights))
 
 
 # -- exhaustive extremal search (heap-indexed bitmask enumeration) -------------

@@ -29,8 +29,6 @@ from carlevel import (
     check_midpoint_concavity,
     check_obstacle,
     construct_admissible,
-    convergence_report,
-    dp_max_levelset,
     induction_trace,
     obstacle_indicator,
     random_carleson,
@@ -131,14 +129,14 @@ def test_criterion_3_counterexample_detection():
 def test_criterion_4_dp_sharpness_probe():
     start = time.time()
     params = CandidateParams.from_constant(Fraction(2))
-    value, witness = dp_max_levelset(2, 2, 2, 2)
+    value, witness = LevelSetDP(2).max_levelset(2, 2, 2)
     closed = candidate_eval(params, BellmanPoint(Fraction(2), Fraction(2)))
     assert value == 1 and closed == 1
     assert carleson_constant(witness, 2).is_c_carleson is True
 
     target = candidate_eval(params, BellmanPoint(Fraction(2), Fraction(3)))
     assert target == Fraction(1, 2)
-    rows = convergence_report(2, 2, 3, 10, depth_min=3)
+    rows = LevelSetDP(2).convergence(2, 3, 10, depth_min=3)
     assert [r.depth for r in rows] == list(range(3, 11))
     gaps = [r.gap for r in rows]
     assert all(g >= 0 for g in gaps)

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import os
 
+import carlevel.candidate
+import carlevel.supersolution
 from carlevel import CarlesonSeq, LevelSetDP
 from carlevel.cli import main
 
@@ -118,6 +121,34 @@ class TestCheck:
         assert code == 2 and "16/5" in err
 
 
+    def test_stdout_digests(self, capsys):
+        # recorded before the four checks shared one tabulation per threshold
+        cases = [
+            (("--target", "counterexample", "--C", "7/3", "--grid-exp", "1", "--lambda-min", "-2",
+              "--lambda-max", "4", "--lambda-extra", "1/3", "--format", "json"), 1, 194,
+             "78bf77ca601368d990d87e40c76d2042e20b33cfba5c138565dbb7d0b82d7c3b"),
+            (("--target", "candidate", "--C", "3/2", "--grid-exp", "0", "--lambda-extra=-1/2",
+              "--lambda-extra", "5/2", "--format", "json"), 0, 33,
+             "519295fc45f407f4dd0820c9885e0095c18d9c881a4b918115adb7d86bbc4fe1"),
+            (("--target", "counterexample", "--C", "2", "--grid-exp", "2", "--lambda-min", "-1",
+              "--lambda-max", "3"), 1, 10,
+             "bacb8b0f76350758a722f81f2c4eab59ac622337364dd5170e9dcc688c7e4086"),
+        ]
+        for argv, exit_code, lines, digest in cases:
+            code, out, _ = run(capsys, "check", *argv)
+            assert (code, len(out.splitlines())) == (exit_code, lines), argv
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+    def test_grid_is_budgeted(self, capsys, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("a row was tabulated before the refusal")
+        monkeypatch.setattr(carlevel.supersolution, "_threshold_checks", no_rows)
+        for flags in (("--grid-exp", "60"), ("--lambda-max", str(10**12))):
+            code, _, err = run(capsys, "check", "--C", "2", *flags)
+            assert code == 3
+            assert "resource limit" in err and "grid budget" in err
+
+
 class TestSearchAndTable:
     def test_search_reports_value_and_gap(self, capsys):
         code, out, _ = run(capsys, "search", "--C", "2", "--depth", "2", "--A", "2", "--m", "2")
@@ -181,6 +212,15 @@ class TestSearchAndTable:
         assert "a,m,value" in lines
         data = [l for l in lines if not l.startswith("#") and l != "a,m,value"]
         assert all(l.split(",")[2] == "0" for l in data if l.split(",")[1] == "2")
+
+    def test_surface_grid_is_budgeted(self, capsys, monkeypatch):
+        def no_values(*args):
+            raise AssertionError("a value was computed before the refusal")
+        monkeypatch.setattr(carlevel.candidate, "candidate_eval", no_values)
+        for flags in (("--grid-exp", "60"), ("--lambda-max", str(10**12))):
+            code, _, err = run(capsys, "table", "--kind", "surface", "--C", "7", *flags)
+            assert code == 3
+            assert "resource limit" in err and "grid budget" in err
 
     def test_surface_table_csv(self, capsys):
         code, out, _ = run(capsys, "table", "--kind", "surface", "--C", "2",

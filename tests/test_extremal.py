@@ -18,9 +18,6 @@ from carlevel import (
     ResourceLimitError,
     candidate_eval,
     carleson_constant,
-    convergence_report,
-    dp_max_levelset,
-    dp_table,
 )
 from carlevel.cli import main
 from oracles import brute_force_extremal
@@ -35,24 +32,24 @@ def check_witness(witness, C, average, level, value):
 
 class TestBaseCases:
     def test_depth_zero_selected_leaf(self):
-        value, witness = dp_max_levelset(1, 0, 1, 1)
+        value, witness = LevelSetDP(1).max_levelset(0, 1, 1)
         assert value == 1
         assert witness.selected == {ROOT}
 
     def test_depth_zero_empty(self):
-        value, witness = dp_max_levelset(1, 0, 0, 1)
+        value, witness = LevelSetDP(1).max_levelset(0, 0, 1)
         assert value == 0
         assert witness.selected == frozenset()
 
     def test_obstacle_rows_are_one(self):
         for a in (0, Fraction(1, 2), 1, Fraction(3, 2)):
             for m in (0, -2):
-                value, witness = dp_max_levelset(2, 3, a, m)
+                value, witness = LevelSetDP(2).max_levelset(3, a, m)
                 assert value == 1
                 check_witness(witness, Fraction(2), Fraction(a), m, value)
 
     def test_two_levels_of_nesting_with_c2(self):
-        value, witness = dp_max_levelset(2, 2, 2, 2)
+        value, witness = LevelSetDP(2).max_levelset(2, 2, 2)
         assert value == 1
         check_witness(witness, Fraction(2), Fraction(2), 2, value)
 
@@ -113,16 +110,16 @@ class TestUpperBoundAndMonotonicity:
 
 class TestTable:
     def test_c1_row_two_is_zero(self):
-        for a, m, value in dp_table(1, 3, 2):
+        for a, m, value in LevelSetDP(1).table(3, 2):
             if m == 2:
                 assert value == 0
 
     def test_c2_depth1_select_root(self):
-        values = {(a, m): value for a, m, value in dp_table(2, 1, 1)}
+        values = {(a, m): value for a, m, value in LevelSetDP(2).table(1, 1)}
         assert values[(1, 1)] == 1
 
     def test_rows_sorted_and_complete(self):
-        rows = dp_table(2, 2, 1)
+        rows = LevelSetDP(2).table(2, 1)
         assert len(rows) == 9 * 2
         assert rows == sorted(rows)
 
@@ -135,7 +132,7 @@ class TestTable:
 
     def test_depth_limit_enforced(self):
         with pytest.raises(ValueError):
-            dp_table(2, 13, 1)
+            LevelSetDP(2).table(13, 1)
 
     def test_output_cells_within_the_cap(self):
         engine = LevelSetDP(2, cell_cap=17)
@@ -147,43 +144,43 @@ class TestTable:
 
 class TestConvergence:
     def test_gap_closes_at_depth_two(self):
-        rows = convergence_report(2, 2, 2, 4)
+        rows = LevelSetDP(2).convergence(2, 2, 4)
         by_depth = {r.depth: r for r in rows}
         assert by_depth[2].value == 1 and by_depth[2].gap == 0
 
     def test_gaps_nonnegative_nonincreasing(self):
-        rows = convergence_report(2, 2, 3, 7)
+        rows = LevelSetDP(2).convergence(2, 3, 7)
         gaps = [r.gap for r in rows]
         assert all(g >= 0 for g in gaps)
         assert all(x >= y for x, y in zip(gaps, gaps[1:]))
 
     def test_trivial_zero_gap_when_both_sides_vanish(self):
-        rows = convergence_report(1, 1, 2, 4)
+        rows = LevelSetDP(1).convergence(1, 2, 4)
         assert all(r.value == 0 and r.gap == 0 for r in rows)
 
     def test_starts_at_representable_depth(self):
-        rows = convergence_report(2, Fraction(3, 4), 1, 4)
+        rows = LevelSetDP(2).convergence(Fraction(3, 4), 1, 4)
         assert rows[0].depth == 2
 
 
 class TestValidation:
     def test_unrepresentable_average(self):
         with pytest.raises(PrecisionError):
-            dp_max_levelset(2, 2, Fraction(1, 8), 1)
+            LevelSetDP(2).max_levelset(2, Fraction(1, 8), 1)
         with pytest.raises(PrecisionError):
-            dp_max_levelset(2, 2, Fraction(1, 3), 1)
+            LevelSetDP(2).max_levelset(2, Fraction(1, 3), 1)
 
     def test_average_above_bound(self):
         with pytest.raises(AdmissibilityError):
-            dp_max_levelset(2, 3, Fraction(5, 2), 1)
+            LevelSetDP(2).max_levelset(3, Fraction(5, 2), 1)
 
     def test_average_above_depth_capacity(self):
         with pytest.raises(ValueError):
-            dp_max_levelset(7, 1, 3, 1)
+            LevelSetDP(7).max_levelset(1, 3, 1)
 
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
-            dp_max_levelset(2, 8, 2, 4, cell_cap=10)
+            LevelSetDP(2, cell_cap=10).max_levelset(8, 2, 4)
         engine = LevelSetDP(2, cell_cap=10)
         with pytest.raises(ResourceLimitError):
             engine.value(8, 2, 4)

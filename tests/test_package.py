@@ -10,7 +10,8 @@ REMOVED = {
     carlevel.sequences: ("carleson_average", "alpha_children", "sparse_generations",
                          "generation_measure", "height_at", "level_set_measure", "truncate"),
     carlevel.extremal: ("DPKey", "DPCell", "DPTable", "reconstruct_witness",
-                        "default_cell_cap"),
+                        "default_cell_cap", "dp_max_levelset", "dp_table",
+                        "convergence_report"),
 }
 
 

@@ -210,10 +210,11 @@ class TestInvariantsExhaustiveSmallDepth:
         for depth in range(0, 4):
             for sel in iter_all_selections(depth):
                 seq = CarlesonSeq(depth, sel)
+                heights = brute_heights(sel, depth)  # once per selection, not per m
                 for m in range(1, depth + 3):
                     v = seq.level_set_measure(m)
                     assert v == seq.generation_measure(m - 1)
-                    assert v.as_fraction() == brute_levelset(sel, depth, Fraction(m))
+                    assert v.as_fraction() == brute_levelset(heights, Fraction(m))
 
 
 class TestInvariantsRandomCorpus:

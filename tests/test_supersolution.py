@@ -1,12 +1,16 @@
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
+import carlevel.supersolution
 from carlevel import (
     ROOT,
     CandidateParams,
     CarlesonSeq,
     CheckGrid,
     NodeAddress,
+    ResourceLimitError,
     candidate_fn,
     check_jump,
     check_main_inequality,
@@ -163,6 +167,80 @@ class TestCoverage:
         for key in [f"concavity_case_{i}" for i in (1, 2, 3)] + \
                    [f"jump_case_{i}" for i in (1, 2, 3, 4, 5)]:
             assert total[key] > 0, key
+
+
+class TestOnePass:
+    """The four checks read one tabulation per threshold."""
+
+    GRID = CheckGrid.build(Fraction(7, 3), 1, -1, 3, extra_lambdas=(Fraction(1, 2),))
+
+    def test_standalone_checks_add_only_their_own_coverage(self):
+        fn = cand(Fraction(7, 3))
+        expected = [
+            (check_obstacle, {"obstacle": 10}),
+            (check_midpoint_concavity,
+             {"concavity_case_1": 14, "concavity_case_2": 21, "concavity_case_3": 7}),
+            (check_jump, {"jump_case_1": 3, "jump_case_2": 3, "jump_case_3": 6,
+                          "jump_case_4": 3, "jump_case_5": 3}),
+            (check_main_inequality, {"main_gamma0": 42, "main_gamma1": 36}),
+        ]
+        for check, keys in expected:
+            coverage = Counter()
+            assert check(fn, self.GRID, coverage) == []
+            assert coverage == keys, check.__name__
+        assert run_all_checks(fn, self.GRID).coverage == sum(
+            (Counter(keys) for _, keys in expected), Counter())
+
+    def test_each_row_is_tabulated_once(self):
+        for c in (Fraction(3, 2), Fraction(7, 3), Fraction(16, 5), Fraction(7)):
+            for exp in (0, 1, 2):
+                grid = small_grid(c, exp=exp)
+                calls = []
+                fn = cand(c)
+                summary = run_all_checks(lambda a, l: calls.append((a, l)) or fn(a, l), grid)
+                assert summary.ok
+                fine = 2 * grid.coarse_count + 1
+                up = min(fine - 1, (c.numerator << (exp + 1)) // c.denominator - (2 << exp)) + 1
+                assert len(calls) == len(grid.lambda_values) * (fine + up), (c, exp)
+
+    def test_reduction_cross_check_fires(self):
+        # Concave in A at every grid threshold, and the coarse jumps hold, but
+        # at t = 2 (not a grid threshold) the odd quarter-points drop to 0, so
+        # only the main inequality's half-step g = 1 probes see a violation.
+        def fn(avg, lam):
+            if lam <= 0:
+                return Fraction(1)
+            if lam <= 1:
+                return min(Fraction(1), avg)
+            if (avg * 4).denominator == 1 and (avg * 4).numerator % 2 == 1:
+                return Fraction(0)
+            return min(max(avg - 1, Fraction(0)), Fraction(1))
+
+        grid = CheckGrid.build(2, 1, -1, 1)
+        assert check_midpoint_concavity(fn, grid) == [] and check_jump(fn, grid) == []
+        assert len(check_main_inequality(fn, grid, verify_reduction=False)) == 2
+        with pytest.raises(RuntimeError, match="reduction mismatch"):
+            check_main_inequality(fn, grid)
+        with pytest.raises(RuntimeError, match="reduction mismatch"):
+            run_all_checks(fn, grid)
+
+
+class TestGridBudget:
+    def test_refused_before_any_row(self, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("a row was tabulated before the refusal")
+        monkeypatch.setattr(carlevel.supersolution, "_threshold_checks", no_rows)
+        for args in ((2, 60, -2, 8), (2, 10**12, -2, 8), (2, 6, -2, 10**12)):
+            with pytest.raises(ResourceLimitError, match="grid budget"):
+                CheckGrid.build(*args)
+
+    def test_budget_boundary(self):
+        # C = 1 at exponent 19 has 2^19 + 1 averages: one threshold fits 2^20, two do not
+        assert len(CheckGrid.build(1, 19, 0, 0).lambda_values) == 1
+        with pytest.raises(ResourceLimitError):
+            CheckGrid.build(1, 19, 0, 1)
+        with pytest.raises(ResourceLimitError):
+            CheckGrid.build(1, 19, 0, 0, extra_lambdas=(Fraction(1, 2),))
 
 
 class TestInductionTrace:
