@@ -23,7 +23,6 @@ from .dyadic import (
     ROOT,
     DyadicRational,
     NodeAddress,
-    compare,
     parse_rational,
     to_fraction,
 )
@@ -80,12 +79,12 @@ __all__ = [
     "check_main_inequality",
     "check_midpoint_concavity",
     "check_obstacle",
-    "compare",
     "construct_admissible",
     "construct_fractional",
     "induction_trace",
     "obstacle_indicator",
     "parse_rational",
     "random_carleson",
+    "run_all_checks",
     "to_fraction",
 ]

@@ -15,11 +15,12 @@ for cross-checking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from .dyadic import RationalLike, ceil_rational, floor_rational, to_fraction
+from .dyadic import RationalLike, grid_top, to_fraction
 from .errors import ResourceLimitError
 
 ONE = Fraction(1)
@@ -27,6 +28,11 @@ ZERO = Fraction(0)
 
 # Thresholds x averages that a surface export or a grid certificate may visit.
 MAX_GRID_POINTS = 1 << 20
+
+# Bits allowed in the exact power decay^(ceil(t) - floor(C)).  CPython prints
+# an int of at most 4300 digits (about 14,284 bits); the margin leaves room
+# for the average and floor(C) factors, so an accepted value still prints.
+MAX_POWER_BITS = 12_000
 
 
 @dataclass(frozen=True)
@@ -43,7 +49,7 @@ class CandidateParams:
         c = to_fraction(C)
         if c < 1:
             raise ValueError(f"C must be >= 1, got {c}")
-        fl = floor_rational(c)
+        fl = math.floor(c)
         return cls(C=c, floor_c=fl, frac_c=c - fl, decay=(c - 1) / c)
 
 
@@ -53,10 +59,6 @@ class BellmanPoint:
 
     avg: Fraction
     lam: Fraction
-
-    @classmethod
-    def of(cls, avg: RationalLike, lam: RationalLike) -> "BellmanPoint":
-        return cls(to_fraction(avg), to_fraction(lam))
 
 
 def _require_domain(avg: Fraction, upper: Fraction) -> None:
@@ -69,7 +71,7 @@ def candidate_eval(params: CandidateParams, pt: BellmanPoint) -> Fraction:
     _require_domain(pt.avg, params.C)
     if pt.lam <= 0:
         return ONE
-    m = ceil_rational(pt.lam)
+    m = math.ceil(pt.lam)
     if pt.lam <= params.floor_c:
         return min(ONE, Fraction(pt.avg, m))
     # the exponent is >= 1 here, so the C = 1 case decays to exactly 0
@@ -93,7 +95,7 @@ def candidate_c2(pt: BellmanPoint) -> Fraction:
         return ONE
     if pt.lam <= 1:
         return min(ONE, pt.avg)
-    return pt.avg / (1 << (ceil_rational(pt.lam) - 1))
+    return pt.avg / (1 << (math.ceil(pt.lam) - 1))
 
 
 def candidate_c32(pt: BellmanPoint) -> Fraction:
@@ -102,8 +104,8 @@ def candidate_c32(pt: BellmanPoint) -> Fraction:
     if pt.lam <= 0:
         return ONE
     if pt.lam <= 3:
-        return min(ONE, Fraction(pt.avg, ceil_rational(pt.lam)))
-    n = ceil_rational(pt.lam) - 3
+        return min(ONE, Fraction(pt.avg, math.ceil(pt.lam)))
+    n = math.ceil(pt.lam) - 3
     return pt.avg * Fraction(5, 16) * Fraction(11, 15) * Fraction(11, 16) ** (n - 1)
 
 
@@ -124,10 +126,24 @@ def require_grid_budget(C: Fraction, a_exp: int, thresholds: int) -> None:
     exponent is refused without shifting by it.
     """
     if (a_exp >= MAX_GRID_POINTS.bit_length()
-            or thresholds * ((C.numerator << a_exp) // C.denominator + 1) > MAX_GRID_POINTS):
+            or thresholds * (grid_top(C, a_exp) + 1) > MAX_GRID_POINTS):
         raise ResourceLimitError(
             f"{thresholds} threshold(s) x averages j/2^{a_exp} in [0, {C}] exceed "
             f"the grid budget of {MAX_GRID_POINTS} points")
+
+
+def require_power_budget(C: Fraction, lam_max: RationalLike) -> None:
+    """Refuse thresholds up to lam_max before evaluating at any of them when
+    the exact power decay^(ceil(t) - floor(C)) would exceed MAX_POWER_BITS bits.
+
+    decay = (C - 1)/C has denominator C.numerator, so the power has about
+    (ceil(t) - floor(C)) * C.numerator.bit_length() bits.
+    """
+    per_step = C.numerator.bit_length()
+    if (math.ceil(lam_max) - math.floor(C)) * per_step > MAX_POWER_BITS:
+        raise ResourceLimitError(
+            f"thresholds above {math.floor(C) + MAX_POWER_BITS // per_step} need an exact "
+            f"power of more than the budget of {MAX_POWER_BITS} bits")
 
 
 def candidate_surface(params: CandidateParams, a_grid_denominator_exp: int,
@@ -139,10 +155,10 @@ def candidate_surface(params: CandidateParams, a_grid_denominator_exp: int,
     if lo > hi:
         raise ValueError(f"empty threshold range [{lo}, {hi}]")
     require_grid_budget(params.C, a_grid_denominator_exp, hi - lo + 1)
+    require_power_budget(params.C, hi)
     scale = 1 << a_grid_denominator_exp
-    max_index = (params.C.numerator * scale) // params.C.denominator
     rows: List[Tuple[Fraction, int, Fraction]] = []
-    for j in range(max_index + 1):
+    for j in range(grid_top(params.C, a_grid_denominator_exp) + 1):
         avg = Fraction(j, scale)
         for lam in range(lo, hi + 1):
             rows.append((avg, lam, candidate_eval(params, BellmanPoint(avg, Fraction(lam)))))

@@ -28,6 +28,7 @@ from .candidate import (
     candidate_eval,
     candidate_fn,
     candidate_surface,
+    require_power_budget,
 )
 from .construct import construct_admissible
 from .dyadic import parse_rational
@@ -160,7 +161,8 @@ def resolve_target(name: str, C: Optional[Fraction]) -> Tuple[Callable, Fraction
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    fn, _ = resolve_target(args.target, args.C)
+    fn, bound = resolve_target(args.target, args.C)
+    require_power_budget(bound, args.lam)
     value = fn(args.A, args.lam)
     if args.format == "json":
         doc = {"provenance": _provenance(args), "value": str(value)}
@@ -229,6 +231,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     engine = LevelSetDP(args.C, cell_cap=args.cell_cap, depth_limit=args.depth_limit)
+    require_power_budget(engine.C, args.m)
     value, witness = engine.max_levelset(args.depth, args.A, args.m)
     target = candidate_eval(engine.params, BellmanPoint(args.A, Fraction(args.m)))
     gap = target - value.as_fraction()
@@ -394,14 +397,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(argv: List[str], parser: argparse.ArgumentParser) -> List[str]:
-    """Expand --config FILE into flags inserted after the subcommand token."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return argv  # let argparse report the missing value
-    values = load_config_file(argv[idx + 1])
+def _apply_config(argv: List[str]) -> List[str]:
+    """Expand --config FILE or --config=FILE into flags inserted after the subcommand token."""
+    for idx, token in enumerate(argv):
+        if token.startswith("--config="):
+            path = token[len("--config="):]
+            break
+        if token == "--config" and idx + 1 < len(argv):
+            path = argv[idx + 1]
+            break
+    else:
+        return argv  # no config, or a missing value that argparse reports
+    values = load_config_file(path)
     if not argv or argv[0].startswith("-"):
         raise ValueError("--config needs a subcommand")
     injected: List[str] = []
@@ -414,7 +421,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config(argv, parser)
+        argv = _apply_config(argv)
         args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code

@@ -13,12 +13,12 @@ interval of the roof's last generation.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from typing import List, Set
 
-from .dyadic import ROOT, DyadicRational, NodeAddress, RationalLike, to_fraction
+from .dyadic import ROOT, NodeAddress, RationalLike, dyadic_exponent, to_fraction
 from .errors import AdmissibilityError, PrecisionError
-from .sequences import CarlesonSeq
+from .sequences import CarlesonSeq, require_depth
 
 
 def binary_expansion(a: RationalLike, depth: int) -> List[int]:
@@ -28,38 +28,29 @@ def binary_expansion(a: RationalLike, depth: int) -> List[int]:
     f = to_fraction(a)
     if not 0 <= f < 1:
         raise ValueError(f"binary expansion needs a value in [0, 1), got {f}")
-    try:
-        dy = DyadicRational.from_fraction(f)
-    except ValueError:
-        raise PrecisionError(f"{f} has no finite binary expansion") from None
-    if dy.log2_denominator > depth:
-        raise PrecisionError(
-            f"{f} needs {dy.log2_denominator} bits, only {depth} available")
-    scaled = dy.numerator << (depth - dy.log2_denominator)
+    bits = dyadic_exponent(f)
+    if bits > depth:
+        raise PrecisionError(f"{f} needs {bits} bits, only {depth} available")
+    scaled = f.numerator << (depth - bits)
     return [(scaled >> (depth - 1 - k)) & 1 for k in range(depth)]
+
+
+def _place_bits(at: NodeAddress, bits: List[int], selected: Set[NodeAddress]) -> None:
+    """Add the disjoint selection of the binary expansion `bits` below the address `at`."""
+    for bit in bits:
+        left, right = at.children()
+        if bit:
+            selected.add(right)
+            at = left
+        else:
+            at = right
 
 
 def construct_fractional(a: RationalLike, depth: int) -> CarlesonSeq:
     """A pairwise-disjoint selection of total relative measure a in [0, 1)."""
-    bits = binary_expansion(a, depth)
     selected: Set[NodeAddress] = set()
-    cursor = ROOT
-    for bit in bits:
-        left, right = cursor.children()
-        if bit:
-            selected.add(right)
-            cursor = left
-        else:
-            cursor = right
+    _place_bits(ROOT, binary_expansion(a, depth), selected)
     return CarlesonSeq(depth, selected)
-
-
-def _fractional_addresses(frac: Fraction) -> List[NodeAddress]:
-    """Selection pattern for a fractional target, relative to a subtree root."""
-    if frac == 0:
-        return []
-    nbits = DyadicRational.from_fraction(frac).log2_denominator
-    return sorted(construct_fractional(frac, nbits).selected)
 
 
 def _partition_staircase(depth: int) -> Set[NodeAddress]:
@@ -88,8 +79,7 @@ def construct_admissible(a: RationalLike, C: RationalLike, depth: int,
         raise ValueError("C must be >= 1")
     if target < 0 or target > bound:
         raise AdmissibilityError(f"average {target} outside [0, {bound}]")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    require_depth(depth)
 
     if style == "partition":
         if target != 1:
@@ -100,33 +90,23 @@ def construct_admissible(a: RationalLike, C: RationalLike, depth: int,
     if style != "roof":
         raise ValueError(f"unknown style {style!r}")
 
-    whole = target.numerator // target.denominator
+    whole = math.floor(target)
     frac = target - whole
     if depth < whole:
         raise ValueError(f"depth {depth} too small for integer part {whole}")
-    if frac:
-        q = frac.denominator
-        if q & (q - 1):
-            raise PrecisionError(f"fractional part {frac} is not dyadic")
-        if q.bit_length() - 1 > depth - whole:
-            raise PrecisionError(
-                f"fractional part {frac} needs {q.bit_length() - 1} bits, "
-                f"only {depth - whole} available below the roof")
+    nbits = dyadic_exponent(frac)
+    if nbits > depth - whole:
+        raise PrecisionError(
+            f"fractional part {frac} needs {nbits} bits, "
+            f"only {depth - whole} available below the roof")
 
     selected: Set[NodeAddress] = set()
+    bases = [ROOT]
     for level in range(whole):
-        for index in range(1 << level):
-            selected.add(NodeAddress(level, index))
-
-    if frac:
-        pattern = _fractional_addresses(frac)
-        if whole == 0:
-            bases = [ROOT]
-        else:
-            bases = [NodeAddress(whole - 1, i) for i in range(1 << (whole - 1))]
-        for base in bases:
-            for rel in pattern:
-                selected.add(NodeAddress(base.level + rel.level,
-                                         (base.index << rel.level) + rel.index))
+        bases = [NodeAddress(level, index) for index in range(1 << level)]
+        selected.update(bases)
+    bits = binary_expansion(frac, nbits)
+    for base in bases:
+        _place_bits(base, bits, selected)
 
     return CarlesonSeq(depth, selected)

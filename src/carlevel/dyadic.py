@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Tuple, Union
 
+from .errors import PrecisionError
+
 RationalLike = Union["DyadicRational", Fraction, int]
 
 
@@ -33,22 +35,18 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"cannot parse rational from {text!r}: {exc}") from None
 
 
-def compare(x: RationalLike, y: RationalLike) -> int:
-    """Exact three-way comparison: -1, 0, or +1."""
-    a, b = to_fraction(x), to_fraction(y)
-    if a < b:
-        return -1
-    return 0 if a == b else 1
+def dyadic_exponent(x: RationalLike) -> int:
+    """The least e >= 0 with x * 2^e an integer; PrecisionError if there is none."""
+    q = to_fraction(x).denominator
+    if q & (q - 1):
+        raise PrecisionError(f"{x} is not dyadic (denominator {q})")
+    return q.bit_length() - 1
 
 
-def ceil_rational(x: RationalLike) -> int:
+def grid_top(x: RationalLike, e: int) -> int:
+    """The largest grid index j with j / 2^e <= x, i.e. floor(x * 2^e), for e >= 0."""
     f = to_fraction(x)
-    return -((-f.numerator) // f.denominator)
-
-
-def floor_rational(x: RationalLike) -> int:
-    f = to_fraction(x)
-    return f.numerator // f.denominator
+    return (f.numerator << e) // f.denominator
 
 
 class DyadicRational:
@@ -68,9 +66,9 @@ class DyadicRational:
         if n == 0:
             e = 0
         else:
-            while e > 0 and n % 2 == 0:
-                n //= 2
-                e -= 1
+            # strip the trailing zero bits, but never below exponent 0
+            shift = min((n & -n).bit_length() - 1, e)
+            n, e = n >> shift, e - shift
         object.__setattr__(self, "numerator", n)
         object.__setattr__(self, "log2_denominator", e)
 
@@ -83,10 +81,7 @@ class DyadicRational:
         if isinstance(f, DyadicRational):
             return f
         f = Fraction(f)
-        q = f.denominator
-        if q & (q - 1):
-            raise ValueError(f"{f} is not dyadic (denominator {q})")
-        return cls(f.numerator, q.bit_length() - 1)
+        return cls(f.numerator, dyadic_exponent(f))
 
     @classmethod
     def parse(cls, text: str) -> "DyadicRational":
@@ -151,7 +146,8 @@ class NodeAddress:
     def __post_init__(self) -> None:
         if self.level < 0:
             raise ValueError("level must be >= 0")
-        if not 0 <= self.index < (1 << self.level):
+        # index < 2^level, without building 2^level
+        if self.index < 0 or self.index.bit_length() > self.level:
             raise ValueError(f"index {self.index} out of range at level {self.level}")
 
     def children(self) -> Tuple["NodeAddress", "NodeAddress"]:

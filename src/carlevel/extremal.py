@@ -39,6 +39,7 @@ cells than the cell cap.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +47,8 @@ from operator import add
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .candidate import BellmanPoint, CandidateParams, candidate_eval
-from .dyadic import ROOT, DyadicRational, NodeAddress, RationalLike, ceil_rational, to_fraction
+from .dyadic import (ROOT, DyadicRational, NodeAddress, RationalLike, dyadic_exponent,
+                     grid_top, to_fraction)
 from .errors import AdmissibilityError, PrecisionError, ResourceLimitError
 from .sequences import CarlesonSeq
 
@@ -67,9 +69,8 @@ class LevelSetDP:
 
     def __init__(self, C: RationalLike, cell_cap: Optional[int] = None,
                  depth_limit: int = DEFAULT_DEPTH_LIMIT) -> None:
-        self.C = to_fraction(C)
-        if self.C < 1:
-            raise ValueError(f"C must be >= 1, got {self.C}")
+        self.params = CandidateParams.from_constant(C)
+        self.C = self.params.C
         if cell_cap is None:
             raw = os.environ.get(CELL_CAP_ENV)
             try:
@@ -80,7 +81,6 @@ class LevelSetDP:
             raise ValueError(f"the cell cap must be positive, got {cell_cap}")
         self.cell_cap = cell_cap
         self.depth_limit = depth_limit
-        self.params = CandidateParams.from_constant(self.C)
         # (d, m) -> F_d(n / 2^d, m) as leaf counts for n = 0..cap(d), 1 <= m <= d + 1
         self._rows: Dict[Tuple[int, int], List[int]] = {}
         self._caps: Dict[int, int] = {}
@@ -91,7 +91,7 @@ class LevelSetDP:
         """Largest admissible average numerator at depth d, scale 2^d."""
         cap = self._caps.get(d)
         if cap is None:
-            cap = min((d + 1) << d, (self.C.numerator << d) // self.C.denominator)
+            cap = min((d + 1) << d, grid_top(self.C, d))
             self._caps[d] = cap
         return cap
 
@@ -108,10 +108,10 @@ class LevelSetDP:
             raise AdmissibilityError(f"average {f} exceeds the Carleson bound {self.C}")
         if f < 0 or f > depth + 1:
             raise ValueError(f"average {f} not reachable at depth {depth}")
-        q = f.denominator
-        if q & (q - 1) or q.bit_length() - 1 > depth:
+        e = dyadic_exponent(f)
+        if e > depth:
             raise PrecisionError(f"average {f} not representable on the 2^-{depth} grid")
-        return f.numerator << (depth - (q.bit_length() - 1)), level
+        return f.numerator << (depth - e), level
 
     # -- rows ----------------------------------------------------------------
 
@@ -233,44 +233,31 @@ class LevelSetDP:
                 break
         return choice
 
-    def _greedy_selection(self, d: int, n: int) -> Set[NodeAddress]:
-        """Any admissible depth-d selection with root average n / 2^d."""
+    def _place_selection(self, at: NodeAddress, d: int, n: int, m: int,
+                         sel: Set[NodeAddress]) -> None:
+        """Add to sel a depth-d selection below `at` with average n / 2^d that
+        attains F_d(n / 2^d, m).  Levels outside 1..d + 1 take any admissible
+        selection: select the root when n >= 2^d, then fill the left half first."""
         if n == 0:
-            return set()
+            return
         if d == 0:
-            return {ROOT}
-        full = 1 << d
-        gamma = 1 if n >= full else 0
-        remaining = n - (gamma << d)
+            sel.add(at)
+            return
         child_cap = self._cap_num(d - 1)
-        n1 = min(remaining, child_cap)
-        n2 = remaining - n1
+        if 1 <= m <= d + 1:
+            gamma, n1 = self._split(d, n, m)
+        else:
+            gamma = 1 if n >= 1 << d else 0
+            n1 = min(n - (gamma << d), child_cap)
+        n2 = n - (gamma << d) - n1
         if n2 > child_cap:
             raise AssertionError(f"no admissible split at ({d}, {n}): right numerator "
                                  f"{n2} exceeds {child_cap}")
-        sel = self._shift(self._greedy_selection(d - 1, n1), left=True)
-        sel |= self._shift(self._greedy_selection(d - 1, n2), left=False)
         if gamma:
-            sel.add(ROOT)
-        return sel
-
-    @staticmethod
-    def _shift(sel: Set[NodeAddress], left: bool) -> Set[NodeAddress]:
-        offset = 0 if left else 1
-        return {NodeAddress(a.level + 1, a.index + (offset << a.level)) for a in sel}
-
-    def _build_selection(self, d: int, n: int, m: int) -> Set[NodeAddress]:
-        if m <= 0 or m > d + 1 or n == 0:
-            return self._greedy_selection(d, n)
-        if d == 0:
-            return {ROOT} if n == 1 else set()
-        gamma, n1 = self._split(d, n, m)
-        remaining = n - (gamma << d)
-        sel = self._shift(self._build_selection(d - 1, n1, m - gamma), left=True)
-        sel |= self._shift(self._build_selection(d - 1, remaining - n1, m - gamma), left=False)
-        if gamma:
-            sel.add(ROOT)
-        return sel
+            sel.add(at)
+        left, right = at.children()
+        self._place_selection(left, d - 1, n1, m - gamma, sel)
+        self._place_selection(right, d - 1, n2, m - gamma, sel)
 
     # -- public surface ------------------------------------------------------
 
@@ -282,8 +269,9 @@ class LevelSetDP:
                      level: int) -> Tuple[DyadicRational, CarlesonSeq]:
         n, m = self._check_key(depth, average, level)
         count = self._count(depth, n, m)
-        witness = CarlesonSeq(depth, self._build_selection(depth, n, m))
-        return DyadicRational(count, depth), witness
+        selected: Set[NodeAddress] = set()
+        self._place_selection(ROOT, depth, n, m, selected)
+        return DyadicRational(count, depth), CarlesonSeq(depth, selected)
 
     def table(self, depth: int, m_max: int) -> List[Tuple[Fraction, int, Fraction]]:
         """Every (a, m, F_depth(a, m)) with 0 <= m <= m_max, sorted by a and then m."""
@@ -312,10 +300,7 @@ class LevelSetDP:
         """F_D at increasing depths with the exact gap below the closed form."""
         self._check_depth(depth_max)
         f = to_fraction(average)
-        q = f.denominator
-        if q & (q - 1):
-            raise PrecisionError(f"average {f} is not dyadic")
-        needed = max(q.bit_length() - 1, ceil_rational(f) - 1, 0)
+        needed = max(dyadic_exponent(f), math.ceil(f) - 1, 0)
         start = needed if depth_min is None else max(depth_min, needed)
         target = candidate_eval(self.params, BellmanPoint(f, Fraction(level)))
         rows: List[ConvergenceRow] = []

@@ -13,20 +13,26 @@ scaled by 2^N, so every query after construction is O(1) int work.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
-from .dyadic import (
-    ROOT,
-    DyadicRational,
-    NodeAddress,
-    RationalLike,
-    ceil_rational,
-    to_fraction,
-)
+from .dyadic import ROOT, DyadicRational, NodeAddress, RationalLike, to_fraction
+from .errors import ResourceLimitError
 
 JSON_FORMAT = "carleson-seq/1"
+
+# Deepest truncation accepted from outside; every leaf weight 2^depth is a big int.
+MAX_DEPTH = 1 << 20
+
+
+def require_depth(depth: int) -> None:
+    """Refuse a negative depth, or one above MAX_DEPTH, before anything that size is built."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    if depth > MAX_DEPTH:
+        raise ResourceLimitError(f"depth {depth} exceeds the depth limit of {MAX_DEPTH}")
 
 
 class CarlesonSeq:
@@ -149,7 +155,7 @@ class CarlesonSeq:
         t = to_fraction(threshold)
         if t <= 0:
             return DyadicRational(1)
-        return self.generation_measure(ceil_rational(t) - 1)
+        return self.generation_measure(math.ceil(t) - 1)
 
     # -- restructuring ---------------------------------------------------------
 
@@ -181,6 +187,7 @@ class CarlesonSeq:
         depth = data.get("depth")
         if type(depth) is not int or depth < 0:
             raise ValueError(f'field "depth": expected a non-negative integer, got {depth!r}')
+        require_depth(depth)
         raw = data.get("selected")
         if not isinstance(raw, list):
             raise ValueError('field "selected": expected a list of [level, index] pairs')

@@ -16,14 +16,15 @@ artifact.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .candidate import BellmanPoint, require_grid_budget
-from .dyadic import ROOT, NodeAddress, RationalLike, floor_rational, to_fraction
+from .candidate import BellmanPoint, require_grid_budget, require_power_budget
+from .dyadic import ROOT, NodeAddress, RationalLike, grid_top, to_fraction
 from .sequences import CarlesonSeq
 
 EvaluableFn = Callable[[Fraction, Fraction], Fraction]
@@ -66,12 +67,13 @@ class CheckGrid:
         require_grid_budget(bound, a_exp, lambda_max - lambda_min + 1 + len(extra_lambdas))
         lams = {Fraction(k) for k in range(lambda_min, lambda_max + 1)}
         lams.update(to_fraction(x) for x in extra_lambdas)
+        require_power_budget(bound, max(lams))
         return cls(a_denominator_exp=a_exp, lambda_values=tuple(sorted(lams)), C=bound)
 
     @property
     def coarse_count(self) -> int:
         """Largest coarse index: floor(C * 2^exp)."""
-        return (self.C.numerator << self.a_denominator_exp) // self.C.denominator
+        return grid_top(self.C, self.a_denominator_exp)
 
     def coarse_values(self) -> List[Fraction]:
         scale = 1 << self.a_denominator_exp
@@ -134,7 +136,7 @@ def _threshold_checks(fn: EvaluableFn, grid: CheckGrid, lam: Fraction,
     """Obstacle, concavity, jump and main violations at one threshold."""
     scale = 1 << (grid.a_denominator_exp + 1)
     top = 2 * grid.coarse_count
-    up_top = (grid.C.numerator * scale) // grid.C.denominator - scale
+    up_top = grid_top(grid.C, grid.a_denominator_exp + 1) - scale
     fine = [fn(Fraction(j, scale), lam) for j in range(top + 1)]
     up = [fn(Fraction(j + scale, scale), lam + 1) for j in range(up_top + 1)]
 
@@ -148,11 +150,11 @@ def _threshold_checks(fn: EvaluableFn, grid: CheckGrid, lam: Fraction,
 
     # (mid, half-width): the n half-step probes first, then the n - 1 distance-2 probes
     probes = chain(((m, 1) for m in range(1, top, 2)), ((m, 2) for m in range(2, top - 1, 2)))
-    coverage[_concavity_case(lam, floor_rational(grid.C))] += top - 1
+    coverage[_concavity_case(lam, math.floor(grid.C))] += top - 1
     concavity = [Violation("concavity", (pt(m - h), pt(m + h), pt(m)), fine[m], rhs)
                  for m, h in probes if fine[m] < (rhs := (fine[m - h] + fine[m + h]) / 2)]
 
-    coverage[_jump_case(lam, floor_rational(grid.C))] += up_top // 2 + 1
+    coverage[_jump_case(lam, math.floor(grid.C))] += up_top // 2 + 1
     jump = [Violation("jump", (pt(j), pt(j + scale, lam + 1)), up[j], fine[j])
             for j in range(0, up_top + 1, 2) if up[j] < fine[j]]
 

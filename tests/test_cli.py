@@ -1,11 +1,16 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import carlevel.candidate
+import carlevel.cli
 import carlevel.supersolution
-from carlevel import CarlesonSeq, LevelSetDP
+from carlevel import BellmanPoint, CandidateParams, CarlesonSeq, LevelSetDP, candidate_eval
 from carlevel.cli import main
+from carlevel.sequences import MAX_DEPTH
 
 
 def run(capsys, *argv):
@@ -43,6 +48,22 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--C", "2", "--A", "5", "--lambda", "1")
         assert code == 2 and "error" in err
 
+    def test_threshold_power_is_budgeted(self, capsys, monkeypatch):
+        # at C = 16/5 each unit of threshold above 3 costs 5 bits: 2403 is the last one allowed
+        code, out, _ = run(capsys, "eval", "--C", "16/5", "--A", "1", "--lambda", "2403")
+        assert code == 0
+        params = CandidateParams.from_constant(Fraction(16, 5))
+        expected = candidate_eval(params, BellmanPoint(Fraction(1), Fraction(2403)))
+        assert Fraction(out.splitlines()[-1]) == expected
+
+        def no_values(*args):
+            raise AssertionError("a value was computed before the refusal")
+        monkeypatch.setattr(carlevel.candidate, "candidate_eval", no_values)
+        for lam in ("2404", "2403.5", "100000"):
+            code, _, err = run(capsys, "eval", "--C", "16/5", "--A", "1", "--lambda", lam)
+            assert code == 3, lam
+            assert "resource limit" in err and "thresholds above 2403" in err
+
 
 class TestConstructAndValidate:
     def test_round_trip(self, capsys, tmp_path):
@@ -77,6 +98,36 @@ class TestConstructAndValidate:
         code, _, err = run(capsys, "validate", "--file", str(path), "--C", "1")
         assert code == 2
         assert 'selected"[0]' in err
+
+    def test_depth_is_budgeted(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "deep.json"
+        code, _, _ = run(capsys, "construct", "--A", "1/2", "--C", "1",
+                         "--depth", str(MAX_DEPTH), "--out", str(path))
+        assert code == 0
+        assert json.loads(path.read_text())["selected"] == [[1, 1]]
+
+        def no_sequence(*args):
+            raise AssertionError("a sequence was built before the refusal")
+        monkeypatch.setattr(CarlesonSeq, "__init__", no_sequence)
+        code, _, err = run(capsys, "construct", "--A", "1/2", "--C", "1",
+                           "--depth", str(MAX_DEPTH + 1))
+        assert code == 3 and "resource limit" in err
+        path.write_text('{"format":"carleson-seq/1","depth":%d,"selected":[[0,0]]}'
+                        % (MAX_DEPTH + 1))
+        code, _, err = run(capsys, "validate", "--file", str(path), "--C", "1")
+        assert code == 3 and "resource limit" in err
+
+    def test_deep_sequence_validates_quickly(self, tmp_path):
+        # each leaf weight is a 600,000-bit integer; canonicalizing the averages one
+        # bit at a time is quadratic in the depth and ran far past this timeout
+        path = tmp_path / "deep.json"
+        path.write_text('{"format":"carleson-seq/1","depth":600000,"selected":[[0,0]]}')
+        src = os.path.dirname(os.path.dirname(carlevel.candidate.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "carlevel.cli", "validate", "--file", str(path), "--C", "1"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert "root average: 1\n" in proc.stdout
 
     def test_partition_style(self, capsys):
         code, out, _ = run(capsys, "construct", "--A", "1", "--C", "1", "--depth", "3",
@@ -148,6 +199,17 @@ class TestCheck:
             assert code == 3
             assert "resource limit" in err and "grid budget" in err
 
+    def test_threshold_power_is_budgeted(self, capsys, monkeypatch):
+        # 200,001 thresholds x 4 averages fit the grid budget, but not the exact powers
+        def no_rows(*args):
+            raise AssertionError("a row was tabulated before the refusal")
+        monkeypatch.setattr(carlevel.supersolution, "_threshold_checks", no_rows)
+        for flags in (("--lambda-max", "200000"), ("--lambda-extra", "4807/2")):
+            code, _, err = run(capsys, "check", "--C", "16/5", "--grid-exp", "0",
+                               "--lambda-min", "0", *flags)
+            assert code == 3, flags
+            assert "resource limit" in err and "thresholds above 2403" in err
+
 
 class TestSearchAndTable:
     def test_search_reports_value_and_gap(self, capsys):
@@ -182,6 +244,16 @@ class TestSearchAndTable:
         code, _, err = run(capsys, *argv, "--depth-limit", "40")
         assert code == 3
         assert "resource limit" in err
+
+    def test_search_threshold_power_is_budgeted(self, capsys, monkeypatch):
+        def no_values(*args):
+            raise AssertionError("a value was computed before the refusal")
+        monkeypatch.setattr(carlevel.cli, "candidate_eval", no_values)
+        monkeypatch.setattr(LevelSetDP, "_best", no_values)
+        code, _, err = run(capsys, "search", "--C", "16/5", "--depth", "2", "--A", "1",
+                           "--m", "2404")
+        assert code == 3
+        assert "resource limit" in err and "thresholds above 2403" in err
 
     def test_cell_cap_is_validated_where_it_is_used(self, capsys, monkeypatch):
         monkeypatch.setenv("CARLEVEL_CELL_CAP", "abc")
@@ -221,6 +293,11 @@ class TestSearchAndTable:
             code, _, err = run(capsys, "table", "--kind", "surface", "--C", "7", *flags)
             assert code == 3
             assert "resource limit" in err and "grid budget" in err
+        # at C = 7 each unit of threshold above 7 costs 3 bits: 4007 is the last one allowed
+        code, _, err = run(capsys, "table", "--kind", "surface", "--C", "7", "--grid-exp", "0",
+                           "--lambda-max", "4008")
+        assert code == 3
+        assert "resource limit" in err and "thresholds above 4007" in err
 
     def test_surface_table_csv(self, capsys):
         code, out, _ = run(capsys, "table", "--kind", "surface", "--C", "2",
@@ -236,9 +313,10 @@ class TestConfigAndDeterminism:
     def test_config_file_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("C = 16/5\nA = 16/5\nlambda = 4  # threshold\n")
-        code, out, _ = run(capsys, "eval", "--config", str(cfg))
-        assert code == 0
-        assert out.strip().splitlines()[-1] == "11/15"
+        for flags in (("--config", str(cfg)), (f"--config={cfg}",)):
+            code, out, _ = run(capsys, "eval", *flags)
+            assert code == 0, flags
+            assert out.strip().splitlines()[-1] == "11/15"
 
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from carlevel import ROOT, DyadicRational, NodeAddress, compare, parse_rational
+from carlevel import ROOT, DyadicRational, NodeAddress, PrecisionError, parse_rational
+from carlevel.dyadic import dyadic_exponent, grid_top
 
 
 class TestDyadicRational:
@@ -13,19 +14,36 @@ class TestDyadicRational:
         assert (x.numerator, x.log2_denominator) == (1, 1)
         assert DyadicRational(0, 7) == DyadicRational(0, 0)
         assert DyadicRational(6, 0).numerator == 6  # integers keep exponent 0
+        assert (DyadicRational(-12, 5).numerator, DyadicRational(-12, 5).log2_denominator) \
+            == (-3, 3)
+        # canonicalizing strips all trailing zero bits at once, not one per step
+        big = DyadicRational(1 << 10**6, 10**6)
+        assert (big.numerator, big.log2_denominator) == (1, 0)
+        big = DyadicRational(1 << 10**6, 2 * 10**6)
+        assert (big.numerator, big.log2_denominator) == (1, 10**6)
 
     def test_rejects_non_dyadic(self):
         with pytest.raises(ValueError):
             DyadicRational.from_fraction(Fraction(16, 5))
         with pytest.raises(ValueError):
             DyadicRational.parse("0.1")  # 1/10 has no finite binary expansion
+        with pytest.raises(PrecisionError, match="not dyadic"):
+            dyadic_exponent(Fraction(1, 3))
+
+    def test_dyadic_exponent_and_grid_top(self):
+        assert [dyadic_exponent(x) for x in (0, 5, Fraction(-3, 8), DyadicRational(12, 5))] \
+            == [0, 0, 3, 3]
+        # floor(16/5 * 2^e) for e = 0..3, and floor(-3/2) at e = 0
+        assert [grid_top(Fraction(16, 5), e) for e in range(4)] == [3, 6, 12, 25]
+        assert grid_top(Fraction(-3, 2), 0) == -2
+        assert grid_top(DyadicRational(5, 2), 3) == 10
 
     def test_general_rational_comparison(self):
-        assert compare(DyadicRational(13, 4), Fraction(16, 5)) == -1
-        assert compare(DyadicRational(2, 0), Fraction(2, 1)) == 0
+        assert DyadicRational(13, 4) < Fraction(16, 5)
+        assert DyadicRational(2, 0) == Fraction(2, 1)
         # 11/4 vs 16/5 cross-multiplies to 55 < 64
-        assert compare(DyadicRational(11, 2), Fraction(16, 5)) == -1
-        assert compare(Fraction(16, 5), DyadicRational(13, 4)) == 1
+        assert DyadicRational(11, 2) < Fraction(16, 5)
+        assert Fraction(16, 5) > DyadicRational(13, 4)
 
     def test_parse_and_render(self):
         assert str(DyadicRational(13, 4)) == "13/16"
@@ -45,6 +63,7 @@ class TestDyadicRational:
         assert math.ceil(DyadicRational(-13, 4)) == 0
         assert math.floor(DyadicRational(-13, 4)) == -1
         assert math.ceil(DyadicRational(3, 0)) == 3
+        assert (math.floor(Fraction(-16, 5)), math.ceil(Fraction(-16, 5))) == (-4, -3)
 
     def test_hash_matches_fraction(self):
         assert hash(DyadicRational(3, 2)) == hash(Fraction(3, 4))
@@ -58,7 +77,8 @@ class TestDyadicRational:
             n2, e2 = rng.randrange(-999, 1000), rng.randrange(0, 12)
             x, y = DyadicRational(n1, e1), DyadicRational(n2, e2)
             fx, fy = Fraction(n1, 1 << e1), Fraction(n2, 1 << e2)
-            assert compare(x, y) == (fx > fy) - (fx < fy)
+            assert (x < y, x == y, x > y) == (fx < fy, fx == fy, fx > fy)
+            assert (x <= y, x >= y) == (fx <= fy, fx >= fy)
 
     def test_immutability(self):
         x = DyadicRational(1, 1)
