@@ -9,8 +9,8 @@ point.
 """
 
 from .candidate import (
-    BellmanPoint,
     CandidateParams,
+    CheckGrid,
     candidate_c1,
     candidate_c2,
     candidate_c32,
@@ -35,7 +35,6 @@ from .sequences import (
     random_carleson,
 )
 from .supersolution import (
-    CheckGrid,
     CheckSummary,
     InductionTrace,
     Violation,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityError",
-    "BellmanPoint",
     "CandidateParams",
     "CarlesonSeq",
     "CheckGrid",

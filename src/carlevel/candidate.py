@@ -11,6 +11,10 @@ C-Carleson selections with root average A, of the normalized measure of
 the set where the height function reaches t.  The fixed-parameter oracles
 for C = 1, C = 2 and C = 16/5 are independent transcriptions kept solely
 for cross-checking.
+
+Every evaluator takes a point of the domain as two arguments (avg, lam), lam
+a Fraction or an int; CheckGrid is the dyadic grid of the domain that the
+grid certificates and the surface export walk.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from functools import partial
+from typing import List, Sequence, Tuple
 
 from .dyadic import RationalLike, grid_top, to_fraction
 from .errors import ResourceLimitError
@@ -37,11 +42,10 @@ MAX_POWER_BITS = 12_000
 
 @dataclass(frozen=True)
 class CandidateParams:
-    """Carleson bound C with its precomputed floor, fractional part and decay ratio."""
+    """Carleson bound C with its precomputed floor and decay ratio."""
 
     C: Fraction
     floor_c: int
-    frac_c: Fraction
     decay: Fraction
 
     @classmethod
@@ -50,15 +54,7 @@ class CandidateParams:
         if c < 1:
             raise ValueError(f"C must be >= 1, got {c}")
         fl = math.floor(c)
-        return cls(C=c, floor_c=fl, frac_c=c - fl, decay=(c - 1) / c)
-
-
-@dataclass(frozen=True)
-class BellmanPoint:
-    """A point (average, threshold) in the domain [0, C] x R."""
-
-    avg: Fraction
-    lam: Fraction
+        return cls(C=c, floor_c=fl, decay=(c - 1) / c)
 
 
 def _require_domain(avg: Fraction, upper: Fraction) -> None:
@@ -66,70 +62,52 @@ def _require_domain(avg: Fraction, upper: Fraction) -> None:
         raise ValueError(f"average {avg} outside the domain [0, {upper}]")
 
 
-def candidate_eval(params: CandidateParams, pt: BellmanPoint) -> Fraction:
-    """Evaluate the closed-form bound exactly."""
-    _require_domain(pt.avg, params.C)
-    if pt.lam <= 0:
+def candidate_eval(params: CandidateParams, avg: Fraction, lam: Fraction) -> Fraction:
+    """Evaluate the closed-form bound exactly at the point (avg, lam)."""
+    _require_domain(avg, params.C)
+    if lam <= 0:
         return ONE
-    m = math.ceil(pt.lam)
-    if pt.lam <= params.floor_c:
-        return min(ONE, Fraction(pt.avg, m))
+    m = math.ceil(lam)
+    if lam <= params.floor_c:
+        return min(ONE, Fraction(avg, m))
     # the exponent is >= 1 here, so the C = 1 case decays to exactly 0
-    return (pt.avg / params.floor_c) * params.decay ** (m - params.floor_c)
+    return (avg / params.floor_c) * params.decay ** (m - params.floor_c)
 
 
-def candidate_c1(pt: BellmanPoint) -> Fraction:
+def candidate_c1(avg: Fraction, lam: Fraction) -> Fraction:
     """Fixed C = 1 oracle: pairwise-disjoint selections only."""
-    _require_domain(pt.avg, ONE)
-    if pt.lam <= 0:
+    _require_domain(avg, ONE)
+    if lam <= 0:
         return ONE
-    if pt.lam <= 1:
-        return pt.avg
+    if lam <= 1:
+        return avg
     return ZERO
 
 
-def candidate_c2(pt: BellmanPoint) -> Fraction:
+def candidate_c2(avg: Fraction, lam: Fraction) -> Fraction:
     """Fixed C = 2 oracle."""
-    _require_domain(pt.avg, Fraction(2))
-    if pt.lam <= 0:
+    _require_domain(avg, Fraction(2))
+    if lam <= 0:
         return ONE
-    if pt.lam <= 1:
-        return min(ONE, pt.avg)
-    return pt.avg / (1 << (math.ceil(pt.lam) - 1))
+    if lam <= 1:
+        return min(ONE, avg)
+    return avg / (1 << (math.ceil(lam) - 1))
 
 
-def candidate_c32(pt: BellmanPoint) -> Fraction:
+def candidate_c32(avg: Fraction, lam: Fraction) -> Fraction:
     """Fixed C = 16/5 oracle, transcribed branch by branch."""
-    _require_domain(pt.avg, Fraction(16, 5))
-    if pt.lam <= 0:
+    _require_domain(avg, Fraction(16, 5))
+    if lam <= 0:
         return ONE
-    if pt.lam <= 3:
-        return min(ONE, Fraction(pt.avg, math.ceil(pt.lam)))
-    n = math.ceil(pt.lam) - 3
-    return pt.avg * Fraction(5, 16) * Fraction(11, 15) * Fraction(11, 16) ** (n - 1)
+    if lam <= 3:
+        return min(ONE, Fraction(avg, math.ceil(lam)))
+    n = math.ceil(lam) - 3
+    return avg * Fraction(5, 16) * Fraction(11, 15) * Fraction(11, 16) ** (n - 1)
 
 
 def candidate_fn(params: CandidateParams):
     """The candidate as a plain (avg, lam) -> Fraction callable."""
-
-    def fn(avg: Fraction, lam: Fraction) -> Fraction:
-        return candidate_eval(params, BellmanPoint(avg, lam))
-
-    return fn
-
-
-def require_grid_budget(C: Fraction, a_exp: int, thresholds: int) -> None:
-    """Refuse a grid of more than MAX_GRID_POINTS points before allocating any.
-
-    The grid is `thresholds` thresholds times the averages j / 2^a_exp in
-    [0, C].  Since C >= 1 there are more than 2^a_exp averages, so a huge
-    exponent is refused without shifting by it.
-    """
-    if (a_exp >= MAX_GRID_POINTS.bit_length()
-            or thresholds * (grid_top(C, a_exp) + 1) > MAX_GRID_POINTS):
-        raise ResourceLimitError(
-            f"{thresholds} threshold(s) x averages j/2^{a_exp} in [0, {C}] exceed "
-            f"the grid budget of {MAX_GRID_POINTS} points")
+    return partial(candidate_eval, params)
 
 
 def require_power_budget(C: Fraction, lam_max: RationalLike) -> None:
@@ -146,20 +124,58 @@ def require_power_budget(C: Fraction, lam_max: RationalLike) -> None:
             f"power of more than the budget of {MAX_POWER_BITS} bits")
 
 
-def candidate_surface(params: CandidateParams, a_grid_denominator_exp: int,
-                      lambda_range: Tuple[int, int]) -> List[Tuple[Fraction, int, Fraction]]:
-    """Exact values over the dyadic average grid and an integer threshold range."""
-    if a_grid_denominator_exp < 0:
-        raise ValueError("grid exponent must be >= 0")
-    lo, hi = lambda_range
-    if lo > hi:
-        raise ValueError(f"empty threshold range [{lo}, {hi}]")
-    require_grid_budget(params.C, a_grid_denominator_exp, hi - lo + 1)
-    require_power_budget(params.C, hi)
-    scale = 1 << a_grid_denominator_exp
-    rows: List[Tuple[Fraction, int, Fraction]] = []
-    for j in range(grid_top(params.C, a_grid_denominator_exp) + 1):
-        avg = Fraction(j, scale)
-        for lam in range(lo, hi + 1):
-            rows.append((avg, lam, candidate_eval(params, BellmanPoint(avg, Fraction(lam)))))
-    return rows
+@dataclass(frozen=True)
+class CheckGrid:
+    """Exact dyadic discretization of the domain [0, C] x R.
+
+    Averages run over {j / 2^a_denominator_exp} intersected with [0, C];
+    thresholds are an explicit list (integers plus sampled non-integers).
+    """
+
+    a_denominator_exp: int
+    lambda_values: Tuple[Fraction, ...]
+    C: Fraction
+
+    @classmethod
+    def build(cls, C: RationalLike, a_exp: int, lambda_min: int, lambda_max: int,
+              extra_lambdas: Sequence[RationalLike] = ()) -> "CheckGrid":
+        if a_exp < 0:
+            raise ValueError("grid exponent must be >= 0")
+        if lambda_min > lambda_max:
+            raise ValueError("empty threshold range")
+        bound = to_fraction(C)
+        if bound < 1:
+            raise ValueError("C must be >= 1")
+        thresholds = lambda_max - lambda_min + 1 + len(extra_lambdas)
+        # C >= 1 gives more than 2^a_exp averages, so a huge exponent is
+        # refused without shifting by it
+        if (a_exp >= MAX_GRID_POINTS.bit_length()
+                or thresholds * (grid_top(bound, a_exp) + 1) > MAX_GRID_POINTS):
+            raise ResourceLimitError(
+                f"{thresholds} threshold(s) x averages j/2^{a_exp} in [0, {bound}] exceed "
+                f"the grid budget of {MAX_GRID_POINTS} points")
+        lams = {Fraction(k) for k in range(lambda_min, lambda_max + 1)}
+        lams.update(to_fraction(x) for x in extra_lambdas)
+        require_power_budget(bound, max(lams))
+        return cls(a_denominator_exp=a_exp, lambda_values=tuple(sorted(lams)), C=bound)
+
+    @property
+    def coarse_count(self) -> int:
+        """Largest coarse index: floor(C * 2^exp)."""
+        return grid_top(self.C, self.a_denominator_exp)
+
+    def coarse_values(self) -> List[Fraction]:
+        scale = 1 << self.a_denominator_exp
+        return [Fraction(j, scale) for j in range(self.coarse_count + 1)]
+
+    def describe(self) -> str:
+        lams = ", ".join(str(l) for l in self.lambda_values)
+        return (f"averages j/2^{self.a_denominator_exp} in [0, {self.C}], "
+                f"thresholds {{{lams}}}")
+
+
+def candidate_surface(grid: CheckGrid) -> List[Tuple[Fraction, Fraction, Fraction]]:
+    """Exact (avg, lam, value) rows over the grid's averages, then its thresholds."""
+    params = CandidateParams.from_constant(grid.C)
+    return [(avg, lam, candidate_eval(params, avg, lam))
+            for avg in grid.coarse_values() for lam in grid.lambda_values]

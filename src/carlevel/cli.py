@@ -16,12 +16,13 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .candidate import (
-    BellmanPoint,
     CandidateParams,
+    CheckGrid,
     candidate_c1,
     candidate_c2,
     candidate_c32,
@@ -35,7 +36,7 @@ from .dyadic import parse_rational
 from .errors import AdmissibilityError, PrecisionError, ResourceLimitError
 from .extremal import CELL_CAP_ENV, DEFAULT_CELL_CAP, DEFAULT_DEPTH_LIMIT, LevelSetDP
 from .sequences import CarlesonSeq, ValidationReport, carleson_constant
-from .supersolution import CheckGrid, CheckSummary, obstacle_indicator, run_all_checks
+from .supersolution import CheckSummary, obstacle_indicator, run_all_checks
 
 PROG = "carlevel"
 
@@ -136,15 +137,22 @@ def load_config_file(path: str) -> Dict[str, str]:
 # -- targets -----------------------------------------------------------------
 
 
+# name -> (oracle, the C it is defined for); a target without a C takes --C
+TARGETS: Dict[str, Tuple[Optional[Callable], Optional[Fraction]]] = {
+    "candidate": (None, None),
+    "c1": (candidate_c1, Fraction(1)),
+    "c2": (candidate_c2, Fraction(2)),
+    "c32": (candidate_c32, Fraction(16, 5)),
+    "counterexample": (obstacle_indicator, None),
+}
+
+
 def resolve_target(name: str, C: Optional[Fraction]) -> Tuple[Callable, Fraction]:
     """Map a target name to an (avg, lam) callable and the grid bound to use."""
-    fixed = {
-        "c1": (lambda a, l: candidate_c1(BellmanPoint(a, l)), Fraction(1)),
-        "c2": (lambda a, l: candidate_c2(BellmanPoint(a, l)), Fraction(2)),
-        "c32": (lambda a, l: candidate_c32(BellmanPoint(a, l)), Fraction(16, 5)),
-    }
-    if name in fixed:
-        fn, implied = fixed[name]
+    if name not in TARGETS:
+        raise ValueError(f"unknown target {name!r}")
+    fn, implied = TARGETS[name]
+    if implied is not None:
         if C is not None and C != implied:
             raise ValueError(f"target {name!r} is defined for C = {implied}, got C = {C}")
         return fn, implied
@@ -152,9 +160,7 @@ def resolve_target(name: str, C: Optional[Fraction]) -> Tuple[Callable, Fraction
         raise ValueError(f"target {name!r} requires --C")
     if name == "candidate":
         return candidate_fn(CandidateParams.from_constant(C)), C
-    if name == "counterexample":
-        return obstacle_indicator, C
-    raise ValueError(f"unknown target {name!r}")
+    return fn, C
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -186,7 +192,7 @@ def _violations_json(summary: CheckSummary) -> List[Dict]:
     for v in summary.all_violations():
         out.append({
             "kind": v.kind,
-            "points": [[str(p.avg), str(p.lam)] for p in v.points],
+            "points": [[str(a), str(lam)] for a, lam in v.points],
             "lhs": str(v.lhs),
             "rhs": str(v.rhs),
         })
@@ -217,7 +223,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                             ("jump", summary.jump), ("main", summary.main)):
             if found:
                 first = found[0]
-                pts = ", ".join(f"({p.avg}, {p.lam})" for p in first.points)
+                pts = ", ".join(f"({a}, {lam})" for a, lam in first.points)
                 lines.append(f"{name}: {len(found)} violation(s); first at {pts} "
                              f"with {first.lhs} < {first.rhs}")
             else:
@@ -233,7 +239,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     engine = LevelSetDP(args.C, cell_cap=args.cell_cap, depth_limit=args.depth_limit)
     require_power_budget(engine.C, args.m)
     value, witness = engine.max_levelset(args.depth, args.A, args.m)
-    target = candidate_eval(engine.params, BellmanPoint(args.A, Fraction(args.m)))
+    target = candidate_eval(engine.params, args.A, args.m)
     gap = target - value.as_fraction()
     rows = None
     if args.report_convergence is not None:
@@ -274,10 +280,9 @@ def cmd_table(args: argparse.Namespace) -> int:
         for avg, m, value in engine.table(args.depth, args.m_max):
             lines.append(f"{avg},{m},{value}")
     else:
-        params = CandidateParams.from_constant(args.C)
-        rows = candidate_surface(params, args.grid_exp, (args.lambda_min, args.lambda_max))
+        grid = CheckGrid.build(args.C, args.grid_exp, args.lambda_min, args.lambda_max)
         lines.append("A,lambda,value")
-        for avg, lam, value in rows:
+        for avg, lam, value in candidate_surface(grid):
             lines.append(f"{avg},{lam},{value}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -328,22 +333,23 @@ def _add_common(sub: argparse.ArgumentParser, formats: Sequence[str] = ("text", 
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # flags must be spelled in full: an abbreviated --config would parse and do nothing
     parser = argparse.ArgumentParser(
-        prog=PROG,
+        prog=PROG, allow_abbrev=False,
         description="exact level-set bounds for dyadic Carleson selections")
     parser.add_argument("--version", action="version", version=f"{PROG} {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
+    add_parser = partial(parser.add_subparsers(dest="command", required=True).add_parser,
+                         allow_abbrev=False)
 
-    p = subs.add_parser("eval", help="evaluate the closed-form bound at one point")
+    p = add_parser("eval", help="evaluate the closed-form bound at one point")
     p.add_argument("--C", type=parse_rational)
     p.add_argument("--A", type=parse_rational, required=True)
     p.add_argument("--lambda", dest="lam", type=parse_rational, required=True)
-    p.add_argument("--target", default="candidate",
-                   choices=["candidate", "c1", "c2", "c32", "counterexample"])
+    p.add_argument("--target", default="candidate", choices=list(TARGETS))
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 
-    p = subs.add_parser("construct", help="build a sequence with a prescribed average")
+    p = add_parser("construct", help="build a sequence with a prescribed average")
     p.add_argument("--A", type=parse_rational, required=True)
     p.add_argument("--C", type=parse_rational, required=True)
     p.add_argument("--depth", type=int, required=True)
@@ -351,18 +357,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, formats=("json",))
     p.set_defaults(func=cmd_construct)
 
-    p = subs.add_parser("check", help="run the supersolution grid certificates")
+    p = add_parser("check", help="run the supersolution grid certificates")
     p.add_argument("--C", type=parse_rational)
     p.add_argument("--grid-exp", type=int, default=6)
     p.add_argument("--lambda-min", type=int, default=-2)
     p.add_argument("--lambda-max", type=int, default=8)
     p.add_argument("--lambda-extra", type=parse_rational, action="append")
-    p.add_argument("--target", default="candidate",
-                   choices=["candidate", "c1", "c2", "c32", "counterexample"])
+    p.add_argument("--target", default="candidate", choices=list(TARGETS))
     _add_common(p)
     p.set_defaults(func=cmd_check)
 
-    p = subs.add_parser("search", help="exact extremal search at a fixed depth")
+    p = add_parser("search", help="exact extremal search at a fixed depth")
     p.add_argument("--C", type=parse_rational, required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--A", type=parse_rational, required=True)
@@ -375,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_search)
 
-    p = subs.add_parser("table", help="export a value table as CSV")
+    p = add_parser("table", help="export a value table as CSV")
     p.add_argument("--kind", choices=["dp", "surface"], default="dp")
     p.add_argument("--C", type=parse_rational, required=True)
     p.add_argument("--depth", type=int, default=6)
@@ -388,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, formats=("csv",))
     p.set_defaults(func=cmd_table)
 
-    p = subs.add_parser("validate", help="validate a sequence JSON file")
+    p = add_parser("validate", help="validate a sequence JSON file")
     p.add_argument("--file", required=True)
     p.add_argument("--C", type=parse_rational, required=True)
     _add_common(p)

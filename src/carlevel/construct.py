@@ -17,8 +17,13 @@ import math
 from typing import List, Set
 
 from .dyadic import ROOT, NodeAddress, RationalLike, dyadic_exponent, to_fraction
-from .errors import AdmissibilityError, PrecisionError
+from .errors import AdmissibilityError, PrecisionError, ResourceLimitError
 from .sequences import CarlesonSeq, require_depth
+
+# Addresses a roof construction may select.  Building the sequence costs more
+# than twice as much per level of roof: a full roof of 14, 16 and 18 levels
+# took 0.68 s, 3.2 s and 17.5 s (Python 3.11, 2-core VM).
+MAX_CONSTRUCT_ADDRESSES = 1 << 16
 
 
 def binary_expansion(a: RationalLike, depth: int) -> List[int]:
@@ -99,6 +104,15 @@ def construct_admissible(a: RationalLike, C: RationalLike, depth: int,
         raise PrecisionError(
             f"fractional part {frac} needs {nbits} bits, "
             f"only {depth - whole} available below the roof")
+    # the roof's 2^whole - 1 addresses plus one per 1-bit under each of its
+    # 2^(whole - 1) bases (the root when whole = 0), counted before anything is
+    # built; a roof too tall on its own is refused without shifting by its height
+    if (whole >= MAX_CONSTRUCT_ADDRESSES.bit_length()
+            or (1 << whole) - 1 + frac.numerator.bit_count() * (1 << max(whole - 1, 0))
+            > MAX_CONSTRUCT_ADDRESSES):
+        raise ResourceLimitError(
+            f"average {target} selects more than the construction budget of "
+            f"{MAX_CONSTRUCT_ADDRESSES} addresses")
 
     selected: Set[NodeAddress] = set()
     bases = [ROOT]

@@ -46,7 +46,7 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .candidate import BellmanPoint, CandidateParams, candidate_eval
+from .candidate import CandidateParams, candidate_eval
 from .dyadic import (ROOT, DyadicRational, NodeAddress, RationalLike, dyadic_exponent,
                      grid_top, to_fraction)
 from .errors import AdmissibilityError, PrecisionError, ResourceLimitError
@@ -165,7 +165,7 @@ class LevelSetDP:
                 break
         if best < 0:
             raise AssertionError(f"infeasible state ({d}, {n}, {m}) reached")
-        bound = candidate_eval(self.params, BellmanPoint(Fraction(n, full), Fraction(m)))
+        bound = candidate_eval(self.params, Fraction(n, full), m)
         if Fraction(best, full) > bound:
             raise AssertionError(f"DP cell (d, n, m) = ({d}, {n}, {m}) has value "
                                  f"{Fraction(best, full)} above the closed form {bound}")
@@ -302,7 +302,7 @@ class LevelSetDP:
         f = to_fraction(average)
         needed = max(dyadic_exponent(f), math.ceil(f) - 1, 0)
         start = needed if depth_min is None else max(depth_min, needed)
-        target = candidate_eval(self.params, BellmanPoint(f, Fraction(level)))
+        target = candidate_eval(self.params, f, level)
         rows: List[ConvergenceRow] = []
         for depth in range(start, depth_max + 1):
             val = self.value(depth, f, level)

@@ -77,10 +77,6 @@ class CarlesonSeq:
 
     # -- averages -----------------------------------------------------------
 
-    def subtree_units(self, j: NodeAddress) -> int:
-        """Total measure of selected descendants of j, scaled by 2^depth."""
-        return self._units.get(j, 0)
-
     def carleson_average(self, j: NodeAddress) -> DyadicRational:
         """Average of the selection over j: sum over selected K inside j of |K|/|j|."""
         if j.level > self.depth:

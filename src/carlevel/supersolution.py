@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .candidate import BellmanPoint, require_grid_budget, require_power_budget
+from .candidate import CheckGrid
 from .dyadic import ROOT, NodeAddress, RationalLike, grid_top, to_fraction
 from .sequences import CarlesonSeq
 
@@ -43,54 +43,11 @@ def obstacle_indicator(avg: Fraction, lam: Fraction) -> Fraction:
 
 
 @dataclass(frozen=True)
-class CheckGrid:
-    """Exact dyadic discretization of the domain [0, C] x R.
-
-    Averages run over {j / 2^a_denominator_exp} intersected with [0, C];
-    thresholds are an explicit list (integers plus sampled non-integers).
-    """
-
-    a_denominator_exp: int
-    lambda_values: Tuple[Fraction, ...]
-    C: Fraction
-
-    @classmethod
-    def build(cls, C: RationalLike, a_exp: int, lambda_min: int, lambda_max: int,
-              extra_lambdas: Sequence[RationalLike] = ()) -> "CheckGrid":
-        if a_exp < 0:
-            raise ValueError("grid exponent must be >= 0")
-        if lambda_min > lambda_max:
-            raise ValueError("empty threshold range")
-        bound = to_fraction(C)
-        if bound < 1:
-            raise ValueError("C must be >= 1")
-        require_grid_budget(bound, a_exp, lambda_max - lambda_min + 1 + len(extra_lambdas))
-        lams = {Fraction(k) for k in range(lambda_min, lambda_max + 1)}
-        lams.update(to_fraction(x) for x in extra_lambdas)
-        require_power_budget(bound, max(lams))
-        return cls(a_denominator_exp=a_exp, lambda_values=tuple(sorted(lams)), C=bound)
-
-    @property
-    def coarse_count(self) -> int:
-        """Largest coarse index: floor(C * 2^exp)."""
-        return grid_top(self.C, self.a_denominator_exp)
-
-    def coarse_values(self) -> List[Fraction]:
-        scale = 1 << self.a_denominator_exp
-        return [Fraction(j, scale) for j in range(self.coarse_count + 1)]
-
-    def describe(self) -> str:
-        lams = ", ".join(str(l) for l in self.lambda_values)
-        return (f"averages j/2^{self.a_denominator_exp} in [0, {self.C}], "
-                f"thresholds {{{lams}}}")
-
-
-@dataclass(frozen=True)
 class Violation:
     """One strict inequality failure: lhs < rhs where lhs >= rhs was required."""
 
     kind: str
-    points: Tuple[BellmanPoint, ...]
+    points: Tuple[Tuple[Fraction, Fraction], ...]  # (avg, lam) each
     lhs: Fraction
     rhs: Fraction
 
@@ -140,8 +97,8 @@ def _threshold_checks(fn: EvaluableFn, grid: CheckGrid, lam: Fraction,
     fine = [fn(Fraction(j, scale), lam) for j in range(top + 1)]
     up = [fn(Fraction(j + scale, scale), lam + 1) for j in range(up_top + 1)]
 
-    def pt(j: int, t: Fraction = lam) -> BellmanPoint:
-        return BellmanPoint(Fraction(j, scale), t)
+    def pt(j: int, t: Fraction = lam) -> Tuple[Fraction, Fraction]:
+        return Fraction(j, scale), t
 
     if lam <= 0:
         coverage["obstacle"] += top // 2 + 1

@@ -15,7 +15,6 @@ import pytest
 
 from carlevel import (
     ROOT,
-    BellmanPoint,
     CandidateParams,
     CheckGrid,
     LevelSetDP,
@@ -75,13 +74,12 @@ def test_criterion_1_closed_form_agreement():
         for j in range(max_j + 1):
             avg = Fraction(j, 64)
             for lam in lambda_set(C):
-                pt = BellmanPoint(avg, lam)
-                assert candidate_eval(params, pt) == oracle(pt)
+                assert candidate_eval(params, avg, lam) == oracle(avg, lam)
                 points += 1
     p2 = CandidateParams.from_constant(Fraction(2))
-    assert candidate_eval(p2, BellmanPoint(Fraction(2), Fraction(3))) == Fraction(1, 2)
+    assert candidate_eval(p2, Fraction(2), Fraction(3)) == Fraction(1, 2)
     p32 = CandidateParams.from_constant(Fraction(16, 5))
-    assert candidate_eval(p32, BellmanPoint(Fraction(16, 5), Fraction(4))) == Fraction(11, 15)
+    assert candidate_eval(p32, Fraction(16, 5), Fraction(4)) == Fraction(11, 15)
     elapsed = time.time() - start
     report(1, elapsed < 1.0,
            f"exact agreement at {points} grid points, spot values 1/2 and 11/15, "
@@ -117,8 +115,7 @@ def test_criterion_3_counterexample_detection():
     violations = check_jump(obstacle_indicator, grid)
     assert violations
     first = violations[0]
-    assert [(p.avg, p.lam) for p in first.points] == [(Fraction(0), Fraction(0)),
-                                                      (Fraction(1), Fraction(1))]
+    assert list(first.points) == [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]
     assert first.lhs == 0 and first.rhs == 1
     elapsed = time.time() - start
     report(3, elapsed < 1.0,
@@ -130,11 +127,11 @@ def test_criterion_4_dp_sharpness_probe():
     start = time.time()
     params = CandidateParams.from_constant(Fraction(2))
     value, witness = LevelSetDP(2).max_levelset(2, 2, 2)
-    closed = candidate_eval(params, BellmanPoint(Fraction(2), Fraction(2)))
+    closed = candidate_eval(params, Fraction(2), Fraction(2))
     assert value == 1 and closed == 1
     assert carleson_constant(witness, 2).is_c_carleson is True
 
-    target = candidate_eval(params, BellmanPoint(Fraction(2), Fraction(3)))
+    target = candidate_eval(params, Fraction(2), Fraction(3))
     assert target == Fraction(1, 2)
     rows = LevelSetDP(2).convergence(2, 3, 10, depth_min=3)
     assert [r.depth for r in rows] == list(range(3, 11))
@@ -230,7 +227,7 @@ def test_criterion_8_least_supersolution_sandwich(corpus):
     for C, seq in corpus:
         root_avg = seq.carleson_average(ROOT).as_fraction()
         for lam in range(-1, 9):
-            bound = candidate_eval(params[C], BellmanPoint(root_avg, Fraction(lam)))
+            bound = candidate_eval(params[C], root_avg, Fraction(lam))
             assert seq.level_set_measure(lam).as_fraction() <= bound, (C, seq, lam)
     traced = 0
     for C, seq in corpus[:200]:

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from carlevel import (
-    BellmanPoint,
     CandidateParams,
+    CheckGrid,
     candidate_c1,
     candidate_c2,
     candidate_c32,
@@ -15,7 +15,7 @@ from carlevel import (
 
 
 def pt(a, l):
-    return BellmanPoint(Fraction(a), Fraction(l))
+    return Fraction(a), Fraction(l)
 
 
 def params(c):
@@ -26,9 +26,8 @@ class TestParams:
     def test_decomposition(self):
         p = params(Fraction(16, 5))
         assert p.floor_c == 3
-        assert p.frac_c == Fraction(1, 5)
+        assert p.C - p.floor_c == Fraction(1, 5)
         assert p.decay == Fraction(11, 16)
-        assert p.floor_c + p.frac_c == p.C
 
     def test_rejects_small_c(self):
         with pytest.raises(ValueError):
@@ -37,38 +36,38 @@ class TestParams:
 
 class TestSpotValues:
     def test_c2_boundary_decay(self):
-        assert candidate_eval(params(2), pt(2, 3)) == Fraction(1, 2)
+        assert candidate_eval(params(2), *pt(2, 3)) == Fraction(1, 2)
 
     def test_c32_at_the_bound(self):
-        assert candidate_eval(params(Fraction(16, 5)), pt(Fraction(16, 5), 4)) == Fraction(11, 15)
+        assert candidate_eval(params(Fraction(16, 5)), *pt(Fraction(16, 5), 4)) == Fraction(11, 15)
 
     def test_c32_interior(self):
-        assert candidate_eval(params(Fraction(16, 5)), pt(Fraction(8, 5), 5)) == Fraction(121, 480)
+        assert candidate_eval(params(Fraction(16, 5)), *pt(Fraction(8, 5), 5)) == Fraction(121, 480)
 
     def test_obstacle_everywhere(self):
         for c in (1, 2, Fraction(16, 5), 7):
-            assert candidate_eval(params(c), pt(Fraction(1, 2), -1)) == 1
-            assert candidate_eval(params(c), pt(0, 0)) == 1
+            assert candidate_eval(params(c), *pt(Fraction(1, 2), -1)) == 1
+            assert candidate_eval(params(c), *pt(0, 0)) == 1
 
     def test_c7_first_decay_step(self):
-        assert candidate_eval(params(7), pt(7, 8)) == Fraction(6, 7)
+        assert candidate_eval(params(7), *pt(7, 8)) == Fraction(6, 7)
 
     def test_fixed_oracles(self):
-        assert candidate_c1(pt(Fraction(1, 2), 1)) == Fraction(1, 2)
-        assert candidate_c1(pt(1, 2)) == 0
-        assert candidate_c1(pt(0, 0)) == 1
-        assert candidate_c2(pt(Fraction(3, 2), 1)) == 1
-        assert candidate_c2(pt(1, 2)) == Fraction(1, 2)
-        assert candidate_c2(pt(2, 4)) == Fraction(1, 4)
-        assert candidate_c32(pt(Fraction(16, 5), 4)) == Fraction(11, 15)
+        assert candidate_c1(*pt(Fraction(1, 2), 1)) == Fraction(1, 2)
+        assert candidate_c1(*pt(1, 2)) == 0
+        assert candidate_c1(*pt(0, 0)) == 1
+        assert candidate_c2(*pt(Fraction(3, 2), 1)) == 1
+        assert candidate_c2(*pt(1, 2)) == Fraction(1, 2)
+        assert candidate_c2(*pt(2, 4)) == Fraction(1, 4)
+        assert candidate_c32(*pt(Fraction(16, 5), 4)) == Fraction(11, 15)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            candidate_eval(params(2), pt(Fraction(5, 2), 1))
+            candidate_eval(params(2), *pt(Fraction(5, 2), 1))
         with pytest.raises(ValueError):
-            candidate_eval(params(2), pt(-1, 1))
+            candidate_eval(params(2), *pt(-1, 1))
         with pytest.raises(ValueError):
-            candidate_c1(pt(Fraction(3, 2), 1))
+            candidate_c1(*pt(Fraction(3, 2), 1))
 
 
 def grid_points(c, exp=5, lam_lo=-2, lam_hi=None):
@@ -88,21 +87,21 @@ class TestSpecializations:
         avgs, lams = grid_points(1)
         for a in avgs:
             for l in lams:
-                assert candidate_eval(p, BellmanPoint(a, l)) == candidate_c1(BellmanPoint(a, l))
+                assert candidate_eval(p, a, l) == candidate_c1(a, l)
 
     def test_matches_c2(self):
         p = params(2)
         avgs, lams = grid_points(2)
         for a in avgs:
             for l in lams:
-                assert candidate_eval(p, BellmanPoint(a, l)) == candidate_c2(BellmanPoint(a, l))
+                assert candidate_eval(p, a, l) == candidate_c2(a, l)
 
     def test_matches_c32(self):
         p = params(Fraction(16, 5))
         avgs, lams = grid_points(Fraction(16, 5))
         for a in avgs:
             for l in lams:
-                assert candidate_eval(p, BellmanPoint(a, l)) == candidate_c32(BellmanPoint(a, l))
+                assert candidate_eval(p, a, l) == candidate_c32(a, l)
 
 
 class TestShapeProperties:
@@ -114,7 +113,7 @@ class TestShapeProperties:
             avgs, lams = grid_points(c, exp=3)
             for a in avgs:
                 for l in lams:
-                    assert 0 <= candidate_eval(p, BellmanPoint(a, l)) <= 1
+                    assert 0 <= candidate_eval(p, a, l) <= 1
 
     def test_ceiling_invariance(self):
         for c in self.CS:
@@ -122,8 +121,8 @@ class TestShapeProperties:
             avgs, _ = grid_points(c, exp=3)
             for a in avgs:
                 for l in (Fraction(1, 2), Fraction(7, 2), Fraction(16, 5), Fraction(9, 4)):
-                    assert candidate_eval(p, BellmanPoint(a, l)) == \
-                        candidate_eval(p, BellmanPoint(a, Fraction(math.ceil(l))))
+                    assert candidate_eval(p, a, l) == \
+                        candidate_eval(p, a, Fraction(math.ceil(l)))
 
     def test_monotone_in_threshold_and_average(self):
         for c in self.CS:
@@ -131,10 +130,10 @@ class TestShapeProperties:
             avgs, lams = grid_points(c, exp=3)
             lams = sorted(lams)
             for a in avgs:
-                vals = [candidate_eval(p, BellmanPoint(a, l)) for l in lams]
+                vals = [candidate_eval(p, a, l) for l in lams]
                 assert all(x >= y for x, y in zip(vals, vals[1:]))
             for l in lams:
-                vals = [candidate_eval(p, BellmanPoint(a, l)) for a in avgs]
+                vals = [candidate_eval(p, a, l) for a in avgs]
                 assert all(x <= y for x, y in zip(vals, vals[1:]))
 
     def test_branch_seams_agree(self):
@@ -144,28 +143,28 @@ class TestShapeProperties:
         for c in self.CS:
             p = params(c)
             for m in range(1, p.floor_c + 1):
-                assert candidate_eval(p, BellmanPoint(Fraction(m), Fraction(m))) == 1
+                assert candidate_eval(p, Fraction(m), Fraction(m)) == 1
             scale = 16
             for j in range(p.floor_c * scale + 1):
                 a = Fraction(j, scale)
-                middle = candidate_eval(p, BellmanPoint(a, Fraction(p.floor_c)))
+                middle = candidate_eval(p, a, Fraction(p.floor_c))
                 extended = (a / p.floor_c) * p.decay ** 0
                 assert middle == extended
 
 
 class TestSurface:
     def test_shape_and_spot_value(self):
-        rows = candidate_surface(params(2), 2, (-1, 4))
+        rows = candidate_surface(CheckGrid.build(2, 2, -1, 4))
         assert len(rows) == 9 * 6
         lookup = {(a, l): v for a, l, v in rows}
         assert lookup[(Fraction(1, 2), 1)] == Fraction(1, 2)
 
     def test_c1_row_above_one_is_zero(self):
-        rows = candidate_surface(params(1), 3, (2, 2))
+        rows = candidate_surface(CheckGrid.build(1, 3, 2, 2))
         assert all(v == 0 for _, _, v in rows)
 
     def test_validates_arguments(self):
         with pytest.raises(ValueError):
-            candidate_surface(params(2), -1, (0, 1))
+            CheckGrid.build(2, -1, 0, 1)
         with pytest.raises(ValueError):
-            candidate_surface(params(2), 2, (3, 1))
+            CheckGrid.build(2, 2, 3, 1)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import carlevel.candidate
 import carlevel.cli
 import carlevel.supersolution
-from carlevel import BellmanPoint, CandidateParams, CarlesonSeq, LevelSetDP, candidate_eval
+from carlevel import CandidateParams, CarlesonSeq, LevelSetDP, candidate_eval
 from carlevel.cli import main
 from carlevel.sequences import MAX_DEPTH
 
@@ -53,7 +53,7 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "--C", "16/5", "--A", "1", "--lambda", "2403")
         assert code == 0
         params = CandidateParams.from_constant(Fraction(16, 5))
-        expected = candidate_eval(params, BellmanPoint(Fraction(1), Fraction(2403)))
+        expected = candidate_eval(params, Fraction(1), Fraction(2403))
         assert Fraction(out.splitlines()[-1]) == expected
 
         def no_values(*args):
@@ -116,6 +116,17 @@ class TestConstructAndValidate:
                         % (MAX_DEPTH + 1))
         code, _, err = run(capsys, "validate", "--file", str(path), "--C", "1")
         assert code == 3 and "resource limit" in err
+
+    def test_roof_is_budgeted(self, capsys, monkeypatch):
+        # 65/4 selects 65,535 roof + 2^15 fractional addresses; a 17-level roof is too tall alone
+        def no_sequence(*args):
+            raise AssertionError("a sequence was built before the refusal")
+        monkeypatch.setattr(CarlesonSeq, "__init__", no_sequence)
+        for a, depth in (("65/4", "18"), ("17", "17"), ("1000000", str(MAX_DEPTH))):
+            code, _, err = run(capsys, "construct", "--A", a, "--C", "1000000",
+                               "--depth", depth)
+            assert code == 3, a
+            assert "resource limit" in err and "construction budget of 65536" in err
 
     def test_deep_sequence_validates_quickly(self, tmp_path):
         # each leaf weight is a 600,000-bit integer; canonicalizing the averages one
@@ -338,6 +349,13 @@ class TestConfigAndDeterminism:
         run(capsys, "construct", "--A", "1/2", "--C", "1", "--depth", "1",
             "--out", str(out))
         assert os.listdir(tmp_path) == ["artifact.json"]
+
+    def test_abbreviated_flags_are_refused(self, capsys, tmp_path):
+        # an abbreviation of --config used to parse and then be ignored
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text("grid-exp = 1\n")
+        code, _, err = run(capsys, "check", "--C", "2", "--conf", str(cfg))
+        assert code == 2 and "unrecognized arguments: --conf" in err
 
     def test_missing_config_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "eval", "--config", str(tmp_path / "nope.cfg"),

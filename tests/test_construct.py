@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+import carlevel.construct
 from carlevel import (
     ROOT,
     AdmissibilityError,
     CarlesonSeq,
     NodeAddress,
     PrecisionError,
+    ResourceLimitError,
     binary_expansion,
     carleson_constant,
     construct_admissible,
@@ -110,6 +112,15 @@ class TestConstructAdmissible:
             construct_admissible(Fraction(13, 16), 1, 3)
         with pytest.raises(ValueError):
             construct_admissible(3, 4, 2)
+
+    def test_selected_addresses_are_budgeted(self, monkeypatch):
+        # 2^whole - 1 roof addresses plus (1-bits) x 2^max(whole - 1, 0)
+        monkeypatch.setattr(carlevel.construct, "MAX_CONSTRUCT_ADDRESSES", 11)
+        for a, count in ((Fraction(7, 2), 11), (Fraction(2047, 2048), 11), (3, 7)):
+            assert len(construct_admissible(a, 4, 12).selected) == count
+        for a in (Fraction(15, 4), Fraction(4095, 4096), 4, 10 ** 6):
+            with pytest.raises(ResourceLimitError):
+                construct_admissible(a, 10 ** 6, 10 ** 6)
 
     def test_sampled_triples_are_exact_and_admissible(self):
         rng = random.Random(5151)

@@ -11,7 +11,6 @@ import carlevel
 from carlevel import (
     ROOT,
     AdmissibilityError,
-    BellmanPoint,
     CandidateParams,
     LevelSetDP,
     PrecisionError,
@@ -99,7 +98,7 @@ class TestUpperBoundAndMonotonicity:
             a = Fraction(n, 8)
             for m in range(0, 5):
                 val = engine.value(3, a, m).as_fraction()
-                assert val <= candidate_eval(params, BellmanPoint(a, Fraction(m)))
+                assert val <= candidate_eval(params, a, Fraction(m))
 
     def test_nondecreasing_in_depth(self):
         engine = LevelSetDP(2)
@@ -203,13 +202,13 @@ class TestValidation:
 # A tiny query.  Its first filled row is F_1(., 2), whose first positive cell is
 # F_1(3/2, 2) = 1/2, above the zero closed form patched in.
 CLOSED_FORM_BREACH = "import carlevel.extremal as e\n" \
-    "e.candidate_eval = lambda params, point: 0\n" \
+    "e.candidate_eval = lambda params, avg, lam: 0\n" \
     "e.LevelSetDP(2).value(2, 2, 2)\n"
 
 
 class TestClosedFormCheck:
     def test_breach_names_the_cell(self, monkeypatch):
-        monkeypatch.setattr(carlevel.extremal, "candidate_eval", lambda params, point: 0)
+        monkeypatch.setattr(carlevel.extremal, "candidate_eval", lambda params, avg, lam: 0)
         with pytest.raises(AssertionError, match=r"\(d, n, m\) = \(1, 3, 2\)"):
             LevelSetDP(2).value(2, 2, 2)
 

@@ -111,7 +111,7 @@ class TestJump:
         violations = check_jump(obstacle_indicator, small_grid(2, exp=2))
         assert violations
         first = violations[0]
-        assert [(p.avg, p.lam) for p in first.points] == [(0, 0), (1, 1)]
+        assert list(first.points) == [(0, 0), (1, 1)]
         assert first.lhs == 0 and first.rhs == 1
 
     def test_constant_one_passes(self):
@@ -138,7 +138,7 @@ class TestMainInequality:
     def test_counterexample_fails_via_shift(self):
         violations = check_main_inequality(obstacle_indicator, small_grid(2, exp=2))
         assert violations
-        assert any(len(v.points) == 3 and v.points[2].lam == v.points[0].lam + 1
+        assert any(len(v.points) == 3 and v.points[2][1] == v.points[0][1] + 1
                    for v in violations)
 
     def test_probe_path_agrees_with_all_pairs_oracle(self):
