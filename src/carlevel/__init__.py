@@ -16,6 +16,7 @@ from .candidate import (
     candidate_c32,
     candidate_eval,
     candidate_fn,
+    candidate_row,
     candidate_surface,
 )
 from .construct import binary_expansion, construct_admissible, construct_fractional
@@ -71,6 +72,7 @@ __all__ = [
     "candidate_c32",
     "candidate_eval",
     "candidate_fn",
+    "candidate_row",
     "candidate_surface",
     "carleson_constant",
     "check_jump",

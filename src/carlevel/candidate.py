@@ -12,9 +12,11 @@ the set where the height function reaches t.  The fixed-parameter oracles
 for C = 1, C = 2 and C = 16/5 are independent transcriptions kept solely
 for cross-checking.
 
-Every evaluator takes a point of the domain as two arguments (avg, lam), lam
+Every evaluator takes a point of the domain as two arguments (avg, lam), each
 a Fraction or an int; CheckGrid is the dyadic grid of the domain that the
-grid certificates and the surface export walk.
+grid certificates and the surface export walk.  candidate_row evaluates the
+closed form along a whole row of that grid at once, as integer numerators
+over one denominator.
 """
 
 from __future__ import annotations
@@ -57,14 +59,18 @@ class CandidateParams:
         return cls(C=c, floor_c=fl, decay=(c - 1) / c)
 
 
-def _require_domain(avg: Fraction, upper: Fraction) -> None:
+def _require_domain(avg: RationalLike, upper: Fraction) -> Fraction:
+    """The average as a Fraction inside [0, upper]; a float raises TypeError."""
+    if not isinstance(avg, Fraction):
+        avg = to_fraction(avg)
     if not 0 <= avg <= upper:
         raise ValueError(f"average {avg} outside the domain [0, {upper}]")
+    return avg
 
 
 def candidate_eval(params: CandidateParams, avg: Fraction, lam: Fraction) -> Fraction:
     """Evaluate the closed-form bound exactly at the point (avg, lam)."""
-    _require_domain(avg, params.C)
+    avg = _require_domain(avg, params.C)
     if lam <= 0:
         return ONE
     m = math.ceil(lam)
@@ -76,7 +82,7 @@ def candidate_eval(params: CandidateParams, avg: Fraction, lam: Fraction) -> Fra
 
 def candidate_c1(avg: Fraction, lam: Fraction) -> Fraction:
     """Fixed C = 1 oracle: pairwise-disjoint selections only."""
-    _require_domain(avg, ONE)
+    avg = _require_domain(avg, ONE)
     if lam <= 0:
         return ONE
     if lam <= 1:
@@ -86,7 +92,7 @@ def candidate_c1(avg: Fraction, lam: Fraction) -> Fraction:
 
 def candidate_c2(avg: Fraction, lam: Fraction) -> Fraction:
     """Fixed C = 2 oracle."""
-    _require_domain(avg, Fraction(2))
+    avg = _require_domain(avg, Fraction(2))
     if lam <= 0:
         return ONE
     if lam <= 1:
@@ -96,13 +102,36 @@ def candidate_c2(avg: Fraction, lam: Fraction) -> Fraction:
 
 def candidate_c32(avg: Fraction, lam: Fraction) -> Fraction:
     """Fixed C = 16/5 oracle, transcribed branch by branch."""
-    _require_domain(avg, Fraction(16, 5))
+    avg = _require_domain(avg, Fraction(16, 5))
     if lam <= 0:
         return ONE
     if lam <= 3:
         return min(ONE, Fraction(avg, math.ceil(lam)))
     n = math.ceil(lam) - 3
     return avg * Fraction(5, 16) * Fraction(11, 15) * Fraction(11, 16) ** (n - 1)
+
+
+def candidate_row(params: CandidateParams, s: int, j0: int, j1: int,
+                  lam: Fraction) -> Tuple[List[int], int]:
+    """The closed form at (j / 2^s, lam) for j = j0..j1, as (numerators, denominator).
+
+    At a fixed threshold the value is 1, min(1, j / (2^s m)) or
+    j num^k / (2^s floor(C) den^k) with m = ceil(lam), k = m - floor(C) and
+    decay = num/den, so the whole row shares one denominator.  Entry i of the
+    numerators over the denominator equals candidate_eval at j = j0 + i.
+    """
+    if j0 < 0 or j1 > grid_top(params.C, s):
+        raise ValueError(f"averages j/2^{s}, {j0} <= j <= {j1}, leave the domain [0, {params.C}]")
+    if lam <= 0:
+        return [1] * (j1 - j0 + 1), 1
+    m = math.ceil(lam)
+    if lam <= params.floor_c:
+        den = m << s
+        return [j if j < den else den for j in range(j0, j1 + 1)], den
+    k = m - params.floor_c
+    step = params.decay.numerator ** k
+    return ([j * step for j in range(j0, j1 + 1)],
+            (params.floor_c << s) * params.decay.denominator ** k)
 
 
 def candidate_fn(params: CandidateParams):
@@ -177,5 +206,7 @@ class CheckGrid:
 def candidate_surface(grid: CheckGrid) -> List[Tuple[Fraction, Fraction, Fraction]]:
     """Exact (avg, lam, value) rows over the grid's averages, then its thresholds."""
     params = CandidateParams.from_constant(grid.C)
-    return [(avg, lam, candidate_eval(params, avg, lam))
-            for avg in grid.coarse_values() for lam in grid.lambda_values]
+    e, top = grid.a_denominator_exp, grid.coarse_count
+    rows = [(lam, *candidate_row(params, e, 0, top, lam)) for lam in grid.lambda_values]
+    return [(avg, lam, Fraction(nums[j], den))
+            for j, avg in enumerate(grid.coarse_values()) for lam, nums, den in rows]

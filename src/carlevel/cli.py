@@ -28,6 +28,7 @@ from .candidate import (
     candidate_c32,
     candidate_eval,
     candidate_fn,
+    candidate_row,
     candidate_surface,
     require_power_budget,
 )
@@ -203,7 +204,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     fn, bound = resolve_target(args.target, args.C)
     grid = CheckGrid.build(bound, args.grid_exp, args.lambda_min, args.lambda_max,
                            extra_lambdas=args.lambda_extra or ())
-    summary = run_all_checks(fn, grid)
+    # the closed form's rows come exact from its kernel, never point by point
+    rows = (partial(candidate_row, CandidateParams.from_constant(bound))
+            if args.target == "candidate" else None)
+    summary = run_all_checks(fn, grid, rows=rows)
     doc = {
         "provenance": _provenance(args, {"grid": grid.describe()}),
         "target": args.target,

@@ -35,6 +35,30 @@ def require_depth(depth: int) -> None:
         raise ResourceLimitError(f"depth {depth} exceeds the depth limit of {MAX_DEPTH}")
 
 
+def _subtree_units(depth: int, selected: Iterable[NodeAddress]) -> Dict[NodeAddress, int]:
+    """Selected measure under each address with any, in units of 2^-depth.
+
+    Built bottom-up, deepest level first: each level's sums pass to the
+    parents once, so the cost follows the number of addresses with a
+    selection below them, not the selection's size times its depth.
+    """
+    by_level: Dict[int, List[int]] = {}
+    for a in selected:
+        by_level.setdefault(a.level, []).append(a.index)
+    units: Dict[NodeAddress, int] = {}
+    carry: Dict[int, int] = {}
+    for level in range(max(by_level, default=-1), -1, -1):
+        w = 1 << (depth - level)
+        for index in by_level.get(level, ()):
+            carry[index] = carry.get(index, 0) + w
+        parents: Dict[int, int] = {}
+        for index, total in carry.items():
+            units[NodeAddress(level, index)] = total
+            parents[index >> 1] = parents.get(index >> 1, 0) + total
+        carry = parents
+    return units
+
+
 class CarlesonSeq:
     """An immutable finite selection of dyadic addresses, truncated at ``depth``.
 
@@ -51,14 +75,9 @@ class CarlesonSeq:
         for a in sel:
             if a.level > depth:
                 raise ValueError(f"selected address {a} below truncation depth {depth}")
-        units: Dict[NodeAddress, int] = {}
-        for a in sel:
-            w = 1 << (depth - a.level)
-            for anc in a.ancestors():
-                units[anc] = units.get(anc, 0) + w
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "selected", sel)
-        object.__setattr__(self, "_units", units)
+        object.__setattr__(self, "_units", _subtree_units(depth, sel))
         object.__setattr__(self, "_generations", None)
 
     def __setattr__(self, name: str, value) -> None:

@@ -20,6 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -76,65 +77,85 @@ def _jump_case(lam: Fraction, floor_c: int) -> str:
 #   fine[j] = fn(j / 2^(e+1), t)          for j = 0..2n, n = floor(C * 2^e),
 #   up[j]   = fn(j / 2^(e+1) + 1, t + 1)  while j / 2^(e+1) + 1 <= C,
 # and all four checks read those two rows.  up is never borrowed from another
-# threshold's row: t + 1 is often not a grid threshold.  The probes run in
-# O(grid size) per threshold instead of O(grid size^2), using an exact
-# equivalence: over a uniform grid, "fn(mid) >= (fn(A1) + fn(A2)) / 2 for ALL
-# grid pairs A1, A2" holds iff the adjacent-pair probes (midpoints at
-# half-steps) and the distance-2 probes (discrete concavity of the grid
-# sequence) all hold.  Both probe families are themselves pair instances,
-# and together they imply the rest: discrete concavity pushes any chord
-# value below the minimal-spread pair with the same midpoint, and the
-# half-step probe finishes odd midpoints.  The brute all-pairs scans are
-# kept in the test suite as independent oracles.
+# threshold's row: t + 1 is often not a grid threshold.  A row is exact
+# integer numerators over one shared denominator: the closed form supplies
+# its rows directly (candidate_row), and any other target is evaluated point
+# by point and scaled to the lcm of its denominators.  The checks compare
+# integers only, cross-multiplying where fine and up meet, and build a
+# Violation's Fractions only for a failing probe, so the reported values are
+# those of Fraction arithmetic.  The probes run in O(grid size) per
+# threshold instead of O(grid size^2), using an exact equivalence:
+# over a uniform grid, "fn(mid) >= (fn(A1) + fn(A2)) / 2 for ALL grid pairs
+# A1, A2" holds iff the adjacent-pair probes (midpoints at half-steps) and
+# the distance-2 probes (discrete concavity of the grid sequence) all hold.
+# Both probe families are themselves pair instances, and together they imply
+# the rest: discrete concavity pushes any chord value below the
+# minimal-spread pair with the same midpoint, and the half-step probe
+# finishes odd midpoints.  The brute all-pairs scans are kept in the test
+# suite as independent oracles.
+
+Row = Tuple[List[int], int]  # numerators over one denominator
+RowFn = Callable[[int, int, int, Fraction], Row]  # (s, j0, j1, t) -> t's row at j / 2^s
 
 
-def _threshold_checks(fn: EvaluableFn, grid: CheckGrid, lam: Fraction,
+def _tabulate(fn: EvaluableFn, s: int, j0: int, j1: int, lam: Fraction) -> Row:
+    """fn at (j / 2^s, lam) for j = j0..j1, scaled to the lcm of its denominators."""
+    values = [fn(Fraction(j, 1 << s), lam) for j in range(j0, j1 + 1)]
+    den = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _threshold_checks(rows: RowFn, grid: CheckGrid, lam: Fraction,
                       coverage: Counter) -> Tuple[List[Violation], ...]:
     """Obstacle, concavity, jump and main violations at one threshold."""
-    scale = 1 << (grid.a_denominator_exp + 1)
+    e = grid.a_denominator_exp + 1
+    scale = 1 << e
     top = 2 * grid.coarse_count
-    up_top = grid_top(grid.C, grid.a_denominator_exp + 1) - scale
-    fine = [fn(Fraction(j, scale), lam) for j in range(top + 1)]
-    up = [fn(Fraction(j + scale, scale), lam + 1) for j in range(up_top + 1)]
+    up_top = grid_top(grid.C, e) - scale
+    fine, den = rows(e, 0, top, lam)
+    up, up_den = rows(e, scale, scale + up_top, lam + 1)
 
     def pt(j: int, t: Fraction = lam) -> Tuple[Fraction, Fraction]:
         return Fraction(j, scale), t
 
     if lam <= 0:
         coverage["obstacle"] += top // 2 + 1
-    obstacle = [Violation("obstacle", (pt(j),), *sorted((fine[j], ONE)))
-                for j in range(0, top + 1, 2) if lam <= 0 and fine[j] != 1]
+    obstacle = [Violation("obstacle", (pt(j),), *sorted((Fraction(fine[j], den), ONE)))
+                for j in range(0, top + 1, 2) if lam <= 0 and fine[j] != den]
 
     # (mid, half-width): the n half-step probes first, then the n - 1 distance-2 probes
     probes = chain(((m, 1) for m in range(1, top, 2)), ((m, 2) for m in range(2, top - 1, 2)))
     coverage[_concavity_case(lam, math.floor(grid.C))] += top - 1
-    concavity = [Violation("concavity", (pt(m - h), pt(m + h), pt(m)), fine[m], rhs)
-                 for m, h in probes if fine[m] < (rhs := (fine[m - h] + fine[m + h]) / 2)]
+    concavity = [Violation("concavity", (pt(m - h), pt(m + h), pt(m)), Fraction(fine[m], den),
+                           Fraction(fine[m - h] + fine[m + h], 2 * den))
+                 for m, h in probes if 2 * fine[m] < fine[m - h] + fine[m + h]]
 
     coverage[_jump_case(lam, math.floor(grid.C))] += up_top // 2 + 1
-    jump = [Violation("jump", (pt(j), pt(j + scale, lam + 1)), up[j], fine[j])
-            for j in range(0, up_top + 1, 2) if up[j] < fine[j]]
+    jump = [Violation("jump", (pt(j), pt(j + scale, lam + 1)), Fraction(up[j], up_den),
+                      Fraction(fine[j], den))
+            for j in range(0, up_top + 1, 2) if up[j] * den < fine[j] * up_den]
 
     # g = 0 is the concavity probes again; g = 1 pairs equal points at even j
-    # and the adjacent half-step pair at odd j
+    # and the adjacent half-step pair at odd j, so its right side is always
+    # the mean of fine[j - h] and fine[j + h]
     coverage["main_gamma0"] += top - 1
     coverage["main_gamma1"] += up_top + 1
     main = [replace(v, kind="main") for v in concavity]
     for j in range(up_top + 1):
         h = j % 2
-        rhs = (fine[j - 1] + fine[j + 1]) / 2 if h else fine[j]
-        if up[j] < rhs:
+        pair = fine[j - h] + fine[j + h]
+        if 2 * up[j] * den < pair * up_den:
             main.append(Violation("main", (pt(j - h), pt(j + h), pt(j + scale, lam + 1)),
-                                  up[j], rhs))
+                                  Fraction(up[j], up_den), Fraction(pair, 2 * den)))
     return obstacle, concavity, jump, main
 
 
-def _all_checks(fn: EvaluableFn, grid: CheckGrid,
+def _all_checks(rows: RowFn, grid: CheckGrid,
                 coverage: Counter) -> Tuple[List[Violation], ...]:
     """The four violation lists over every threshold, from one tabulation each."""
     found: Tuple[List[Violation], ...] = ([], [], [], [])
     for lam in grid.lambda_values:
-        for acc, part in zip(found, _threshold_checks(fn, grid, lam, coverage)):
+        for acc, part in zip(found, _threshold_checks(rows, grid, lam, coverage)):
             acc.extend(part)
     return found
 
@@ -152,7 +173,7 @@ def _one_check(which: int, fn: EvaluableFn, grid: CheckGrid,
                coverage: Optional[Counter]) -> Tuple[List[Violation], ...]:
     """Every list of the one pass; only the keys of check `which` reach coverage."""
     counts: Counter = Counter()
-    found = _all_checks(fn, grid, counts)
+    found = _all_checks(partial(_tabulate, fn), grid, counts)
     if coverage is not None:
         prefix = ("obstacle", "concavity", "jump", "main")[which]
         coverage.update({k: v for k, v in counts.items() if k.startswith(prefix)})
@@ -215,10 +236,16 @@ class CheckSummary:
         return list(self.obstacle) + list(self.concavity) + list(self.jump) + list(self.main)
 
 
-def run_all_checks(fn: EvaluableFn, grid: CheckGrid) -> CheckSummary:
-    """All four checks in one pass over the thresholds, reduction cross-checked."""
+def run_all_checks(fn: EvaluableFn, grid: CheckGrid,
+                   rows: Optional[RowFn] = None) -> CheckSummary:
+    """All four checks in one pass over the thresholds, reduction cross-checked.
+
+    rows, when given, is an exact row kernel for fn, such as
+    partial(candidate_row, params) for the closed form; the certificates then
+    read their rows from it and never call fn.
+    """
     coverage: Counter = Counter()
-    obstacle, concavity, jump, main = _all_checks(fn, grid, coverage)
+    obstacle, concavity, jump, main = _all_checks(rows or partial(_tabulate, fn), grid, coverage)
     _verify_reduction(concavity, jump, main)
     return CheckSummary(grid=grid, obstacle=tuple(obstacle), concavity=tuple(concavity),
                         jump=tuple(jump), main=tuple(main), coverage=coverage)

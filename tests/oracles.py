@@ -57,6 +57,16 @@ def brute_sup_all_addresses(selected: Iterable[NodeAddress], depth: int) -> Frac
     return best
 
 
+def brute_units(depth: int, selected: Iterable[NodeAddress]) -> Dict[NodeAddress, int]:
+    """Selected measure under each address, in units of 2^-depth, by walking
+    every selected address's ancestors; only addresses with a selection below."""
+    units: Dict[NodeAddress, int] = {}
+    for a in selected:
+        for anc in a.ancestors():
+            units[anc] = units.get(anc, 0) + (1 << (depth - a.level))
+    return units
+
+
 def brute_heights(selected: Iterable[NodeAddress], depth: int) -> List[int]:
     """Height of each level-``depth`` leaf: selected addresses containing it."""
     sel = set(selected)

@@ -10,6 +10,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -23,6 +24,7 @@ from carlevel import (
     candidate_c32,
     candidate_eval,
     candidate_fn,
+    candidate_row,
     carleson_constant,
     check_jump,
     check_midpoint_concavity,
@@ -105,6 +107,18 @@ def test_criterion_2_supersolution_certificate():
     report(2, True,
            "all four checks empty for C in {1, 3/2, 2, 16/5, 7} at grid exponent 8; "
            f"all 3 concavity and 5 jump proof cases hit; max {max(timings):.1f}s/C < 30s")
+
+
+def test_candidate_certificate_at_grid_exponent_12():
+    # criterion 2 on a grid 16 times finer, from the closed form's exact rows
+    start = time.time()
+    for C in C_POOL:
+        params = CandidateParams.from_constant(C)
+        grid = CheckGrid.build(C, 12, -2, math.ceil(C) + 6,
+                               extra_lambdas=(Fraction(1, 2), Fraction(7, 2), Fraction(16, 5)))
+        summary = run_all_checks(candidate_fn(params), grid, rows=partial(candidate_row, params))
+        assert summary.ok, f"violations for C={C}"
+    assert time.time() - start < 30.0
 
 
 def test_criterion_3_counterexample_detection():

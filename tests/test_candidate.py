@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -10,6 +11,7 @@ from carlevel import (
     candidate_c2,
     candidate_c32,
     candidate_eval,
+    candidate_row,
     candidate_surface,
 )
 
@@ -70,6 +72,22 @@ class TestSpotValues:
             candidate_c1(*pt(Fraction(3, 2), 1))
 
 
+    def test_int_average_gives_a_fraction(self):
+        cases = [(candidate_eval(params(Fraction(16, 5)), 1, 5), Fraction(121, 768)),
+                 (candidate_eval(params(2), 1, 1), Fraction(1)),
+                 (candidate_c1(1, 1), Fraction(1)),
+                 (candidate_c2(1, 3), Fraction(1, 4)),
+                 (candidate_c32(3, 5), Fraction(121, 256))]
+        for got, want in cases:
+            assert type(got) is Fraction and got == want
+
+    def test_float_average_is_refused(self):
+        for evaluate in (partial(candidate_eval, params(2)), candidate_c1, candidate_c2,
+                         candidate_c32):
+            with pytest.raises(TypeError):
+                evaluate(0.5, 1)
+
+
 def grid_points(c, exp=5, lam_lo=-2, lam_hi=None):
     C = Fraction(c)
     if lam_hi is None:
@@ -102,6 +120,36 @@ class TestSpecializations:
         for a in avgs:
             for l in lams:
                 assert candidate_eval(p, a, l) == candidate_c32(a, l)
+
+
+class TestRow:
+    CS = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7, 3), Fraction(16, 5), Fraction(7))
+
+    @staticmethod
+    def thresholds(floor_c):
+        fractional = [Fraction(1, 2), Fraction(9, 4), Fraction(16, 5), Fraction(7, 2),
+                      Fraction(2 * floor_c + 1, 2), Fraction(4 * floor_c + 7, 4)]
+        integers = [1, floor_c - 1, floor_c, floor_c + 1, floor_c + 4]
+        return [-2, Fraction(-1, 2), 0] + fractional + integers
+
+    def test_matches_pointwise_evaluation(self):
+        for c in self.CS:
+            p = params(c)
+            for s in range(6):
+                top = (c.numerator << s) // c.denominator
+                for j0 in (0, 1 << s):  # a fine row and an up row
+                    for lam in self.thresholds(p.floor_c):
+                        nums, den = candidate_row(p, s, j0, top, lam)
+                        assert len(nums) == top - j0 + 1
+                        for j, num in enumerate(nums, j0):
+                            assert Fraction(num, den) == \
+                                candidate_eval(p, Fraction(j, 1 << s), lam), (c, s, j, lam)
+
+    def test_refuses_averages_outside_the_domain(self):
+        p = params(Fraction(3, 2))
+        for j0, j1 in ((-1, 4), (0, 7)):  # 7/4 > 3/2
+            with pytest.raises(ValueError):
+                candidate_row(p, 2, j0, j1, 1)
 
 
 class TestShapeProperties:

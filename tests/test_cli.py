@@ -140,6 +140,20 @@ class TestConstructAndValidate:
         assert proc.returncode == 0, proc.stderr
         assert "root average: 1\n" in proc.stdout
 
+    def test_deep_staircase_constructs_and_validates_quickly(self, tmp_path):
+        # depth + 1 addresses; summing each one into every ancestor took 93 s at this depth
+        path = str(tmp_path / "staircase.json")
+        script = ("import sys\nfrom carlevel.cli import main\n"
+                  "sys.exit(main(['construct', '--style', 'partition', '--A', '1', '--C', '1',"
+                  " '--depth', '8000', '--out', sys.argv[1]])"
+                  " or main(['validate', '--file', sys.argv[1], '--C', '1']))")
+        src = os.path.dirname(os.path.dirname(carlevel.candidate.__file__))
+        proc = subprocess.run([sys.executable, "-c", script, path], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src), timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert "selected: 8001\nroot average: 1\n" in proc.stdout
+        assert "within C = 1: yes" in proc.stdout
+
     def test_partition_style(self, capsys):
         code, out, _ = run(capsys, "construct", "--A", "1", "--C", "1", "--depth", "3",
                            "--style", "partition")
@@ -200,6 +214,18 @@ class TestCheck:
             code, out, _ = run(capsys, "check", *argv)
             assert (code, len(out.splitlines())) == (exit_code, lines), argv
             assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+    def test_candidate_reads_rows_from_the_kernel(self, capsys, monkeypatch):
+        def no_points(*args):
+            raise AssertionError("the closed form was evaluated point by point")
+        monkeypatch.setattr(carlevel.candidate, "candidate_eval", no_points)
+        monkeypatch.setattr(carlevel.cli, "candidate_eval", no_points)
+        code, out, _ = run(capsys, "check", "--C", "16/5", "--grid-exp", "5",
+                           "--lambda-extra", "7/2")
+        assert code == 0 and "result: PASS" in out
+        code, out, _ = run(capsys, "table", "--kind", "surface", "--C", "2", "--grid-exp", "2",
+                           "--lambda-min", "1", "--lambda-max", "2")
+        assert code == 0 and "1/2,1,1/2\n" in out
 
     def test_grid_is_budgeted(self, capsys, monkeypatch):
         def no_rows(*args):

@@ -15,6 +15,7 @@ from oracles import (
     brute_heights,
     brute_levelset,
     brute_sup_all_addresses,
+    brute_units,
     iter_all_selections,
 )
 
@@ -46,6 +47,16 @@ class TestAverages:
             for index in range(1 << level):
                 j = NodeAddress(level, index)
                 assert seq.carleson_average(j).as_fraction() == brute_average(seq.selected, j)
+
+
+    def test_subtree_units_match_ancestor_walk(self):
+        for seed in range(60):
+            C = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(16, 5), Fraction(7))[seed % 5]
+            depth = seed % 13
+            seq = random_carleson(depth, C, 5100 + seed, density=(0.25, 0.5, 0.9)[seed % 3])
+            assert seq._units == brute_units(depth, seq.selected), seed
+        assert chain(6)._units == brute_units(6, chain(6).selected)
+        assert CarlesonSeq(4)._units == {}
 
 
 class TestCarlesonConstant:

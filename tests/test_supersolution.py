@@ -1,5 +1,7 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -11,7 +13,9 @@ from carlevel import (
     CheckGrid,
     NodeAddress,
     ResourceLimitError,
+    Violation,
     candidate_fn,
+    candidate_row,
     check_jump,
     check_main_inequality,
     check_midpoint_concavity,
@@ -223,6 +227,77 @@ class TestOnePass:
             check_main_inequality(fn, grid)
         with pytest.raises(RuntimeError, match="reduction mismatch"):
             run_all_checks(fn, grid)
+
+
+def fraction_probes(fn, grid):
+    """The four violation lists from the probes evaluated in Fractions point by
+    point, as the checks did before they compared integer rows."""
+    found = ([], [], [], [])
+    scale = 1 << (grid.a_denominator_exp + 1)
+    top = 2 * grid.coarse_count
+    up_top = (grid.C.numerator * scale) // grid.C.denominator - scale
+    for lam in grid.lambda_values:
+        fine = [fn(Fraction(j, scale), lam) for j in range(top + 1)]
+        up = [fn(Fraction(j + scale, scale), lam + 1) for j in range(up_top + 1)]
+
+        def pt(j, t=lam):
+            return Fraction(j, scale), t
+
+        obstacle, concavity, jump, main = found
+        if lam <= 0:
+            obstacle += [Violation("obstacle", (pt(j),), *sorted((fine[j], Fraction(1))))
+                         for j in range(0, top + 1, 2) if fine[j] != 1]
+        probes = [(m, 1) for m in range(1, top, 2)] + [(m, 2) for m in range(2, top - 1, 2)]
+        here = [Violation("concavity", (pt(m - h), pt(m + h), pt(m)), fine[m], rhs)
+                for m, h in probes if fine[m] < (rhs := (fine[m - h] + fine[m + h]) / 2)]
+        concavity += here
+        jump += [Violation("jump", (pt(j), pt(j + scale, lam + 1)), up[j], fine[j])
+                 for j in range(0, up_top + 1, 2) if up[j] < fine[j]]
+        main += [replace(v, kind="main") for v in here]
+        for j in range(up_top + 1):
+            h = j % 2
+            rhs = (fine[j - 1] + fine[j + 1]) / 2 if h else fine[j]
+            if up[j] < rhs:
+                main.append(Violation("main", (pt(j - h), pt(j + h), pt(j + scale, lam + 1)),
+                                      up[j], rhs))
+    return found
+
+
+class TestIntegerRows:
+    """Integer rows report exactly what the Fraction probes report."""
+
+    @staticmethod
+    def assert_same(summary, want):
+        got = (summary.obstacle, summary.concavity, summary.jump, summary.main)
+        for g, w in zip(got, want):
+            assert list(g) == w
+            for v in g:
+                assert type(v.lhs) is type(v.rhs) is Fraction
+                assert all(type(a) is Fraction for a, _ in v.points)
+
+    def test_counterexample_grids(self):
+        # the negative control on the grids of the benchmark's counterexample checks
+        for c in (2, 7):
+            grid = CheckGrid.build(c, 7, -2, 8, extra_lambdas=(Fraction(11, 4),))
+            summary = run_all_checks(obstacle_indicator, grid)
+            assert summary.jump and summary.main
+            self.assert_same(summary, fraction_probes(obstacle_indicator, grid))
+
+    def test_stubs_that_fail(self):
+        # between them every kind of violation, at up to 490 per list
+        for fn in (obstacle_indicator, constant_zero, square_stub, spike_stub, affine_stub):
+            for c in (1, 2, Fraction(16, 5)):
+                grid = small_grid(c, exp=3)
+                self.assert_same(run_all_checks(fn, grid), fraction_probes(fn, grid))
+
+    def test_kernel_rows_equal_tabulated_rows(self):
+        for c in (1, Fraction(3, 2), 2, Fraction(7, 3), Fraction(16, 5), 7):
+            params = CandidateParams.from_constant(Fraction(c))
+            grid = small_grid(c, exp=3)
+            kernel = run_all_checks(candidate_fn(params), grid,
+                                    rows=partial(candidate_row, params))
+            assert kernel == run_all_checks(candidate_fn(params), grid)
+            assert kernel.ok
 
 
 class TestGridBudget:
