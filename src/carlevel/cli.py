@@ -16,7 +16,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -426,12 +426,15 @@ def _apply_config(argv: List[str]) -> List[str]:
     return [argv[0]] + injected + argv[1:]
 
 
+# built on first use and shared by every main() call: parsing leaves no state in it
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
         argv = _apply_config(argv)
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -26,6 +26,9 @@ JSON_FORMAT = "carleson-seq/1"
 # Deepest truncation accepted from outside; every leaf weight 2^depth is a big int.
 MAX_DEPTH = 1 << 20
 
+# Most proposals random_carleson makes, one per address: depth 19 at most.
+MAX_PROPOSALS = 1 << 20
+
 
 def require_depth(depth: int) -> None:
     """Refuse a negative depth, or one above MAX_DEPTH, before anything that size is built."""
@@ -248,16 +251,14 @@ def carleson_constant(seq: CarlesonSeq, C: Optional[RationalLike] = None) -> Val
 
     Only selected addresses need to be inspected: an unselected interval's
     average is a measure-weighted mean of its maximal selected descendants'
-    averages, so it can never exceed their sup.
+    averages, so it can never exceed their sup.  The witness is the least
+    address attaining it.
     """
-    best: Optional[DyadicRational] = None
-    witness = ROOT
-    for a in sorted(seq.selected):
-        avg = seq.carleson_average(a)
-        if best is None or avg > best:
-            best, witness = avg, a
-    if best is None:
-        best = DyadicRational(0)
+    units = seq._units
+    # average * 2^depth is units << level; ties go to the least (level, index)
+    witness = max(seq.selected, default=ROOT,
+                  key=lambda a: (units[a] << a.level, -a.level, -a.index))
+    best = seq.carleson_average(witness)
     is_c = None
     if C is not None:
         is_c = best.as_fraction() <= to_fraction(C)
@@ -269,6 +270,11 @@ def carleson_constant(seq: CarlesonSeq, C: Optional[RationalLike] = None) -> Val
     )
 
 
+def _zero_levels(depth: int) -> List[List[int]]:
+    """A zero per address of levels 0..depth, level by level: 2^(depth+1) - 1 ints."""
+    return [[0] * (1 << level) for level in range(depth + 1)]
+
+
 def random_carleson(depth: int, C: RationalLike, rng_seed: int,
                     density: float = 0.5) -> CarlesonSeq:
     """Draw a random sequence with Carleson constant <= C, deterministically.
@@ -277,31 +283,36 @@ def random_carleson(depth: int, C: RationalLike, rng_seed: int,
     each selection and the proposal is rejected whenever accepting it would
     push some containing interval's average above C.  Since later proposals
     are themselves checked, every accepted state stays within the bound.
+    Every address is one proposal, so 2^(depth+1) - 1 of them may not
+    exceed MAX_PROPOSALS.
     """
     depth = int(depth)
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    require_depth(depth)
     bound = to_fraction(C)
     if bound < 1:
         raise ValueError("C must be >= 1")
+    if (1 << (depth + 1)) - 1 > MAX_PROPOSALS:
+        raise ResourceLimitError(f"depth {depth} needs 2^{depth + 1} - 1 proposals, "
+                                 f"above the budget of {MAX_PROPOSALS}")
     p, q = bound.numerator, bound.denominator
-    rng = random.Random(rng_seed)
-    units: Dict[NodeAddress, int] = {}
+    draw = random.Random(rng_seed).random
+    # units[l][i]: q times the selected measure under (l, i), in units of 2^-depth;
+    # accepting keeps it <= caps[l], i.e. the average at (l, i) <= p/q
+    units = _zero_levels(depth)
+    caps = [p << (depth - level) for level in range(depth + 1)]
     chosen: List[NodeAddress] = []
     for level in range(depth + 1):
-        w = 1 << (depth - level)
+        w = q << (depth - level)
         for index in range(1 << level):
-            if rng.random() >= density:
+            if draw() >= density:
                 continue
-            a = NodeAddress(level, index)
-            ok = True
-            for anc in a.ancestors():
-                # (units + w) / 2^(depth - anc.level) <= p/q, cross-multiplied
-                if (units.get(anc, 0) + w) * q > p * (1 << (depth - anc.level)):
-                    ok = False
+            # the address itself never overflows (nothing below it is chosen yet, and
+            # q <= p), so only its strict ancestors are checked
+            for l in range(level):
+                if units[l][index >> (level - l)] + w > caps[l]:
                     break
-            if ok:
-                chosen.append(a)
-                for anc in a.ancestors():
-                    units[anc] = units.get(anc, 0) + w
+            else:
+                for l in range(level + 1):
+                    units[l][index >> (level - l)] += w
+                chosen.append(NodeAddress(level, index))
     return CarlesonSeq(depth, chosen)

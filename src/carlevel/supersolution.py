@@ -283,25 +283,42 @@ def induction_trace(fn: EvaluableFn, seq: CarlesonSeq, lam: RationalLike) -> Ind
 
     The trace always descends one level past the truncation depth so that
     nodes selected at the deepest level still contribute their unit shift,
-    after which every residual threshold has settled."""
+    after which every residual threshold has settled.
+
+    A node's term depends only on its subtree average and its count of
+    selected strict ancestors, so each level's nodes are grouped by that
+    pair and fn is called once per distinct pair, weighted by its count.
+    Nodes with no selection below them are never visited: they are carried
+    as one count per residual, doubling each level.  The cost follows the
+    nodes with a selection below them, not the 2^(depth+2) - 1 in the tree.
+    """
     lam = to_fraction(lam)
+    units, selected = seq._units, seq.selected
     sums: List[Fraction] = []
-    frontier: List[Tuple[NodeAddress, Fraction]] = [(ROOT, lam)]
+    # (address, selected strict ancestors) for each node with a selection below it
+    live: List[Tuple[NodeAddress, int]] = [(ROOT, 0)] if units else []
+    # selected strict ancestors -> how many nodes with nothing below them have that many
+    empty: Counter = Counter() if live else Counter({0: 1})
     last_level = seq.depth + 1
     for level in range(last_level + 1):
-        total = Fraction(0)
-        for addr, residual in frontier:
-            total += fn(seq.carleson_average(addr).as_fraction(), residual)
+        groups = Counter({(0, k): n for k, n in empty.items()})
+        groups.update((units[addr], k) for addr, k in live)
+        scale = 1 << max(seq.depth - level, 0)
+        total = sum((n * fn(Fraction(u, scale), lam - k) for (u, k), n in groups.items()),
+                    Fraction(0))
         sums.append(total / (1 << level))
         if level == last_level:
             break
-        nxt: List[Tuple[NodeAddress, Fraction]] = []
-        for addr, residual in frontier:
-            child_residual = residual - (1 if addr in seq.selected else 0)
-            left, right = addr.children()
-            nxt.append((left, child_residual))
-            nxt.append((right, child_residual))
-        frontier = nxt
+        empty = Counter({k: 2 * n for k, n in empty.items()})
+        nxt: List[Tuple[NodeAddress, int]] = []
+        for addr, k in live:
+            k += addr in selected
+            for child in addr.children():
+                if child in units:
+                    nxt.append((child, k))
+                else:
+                    empty[k] += 1
+        live = nxt
     steps_ok = tuple(sums[n] >= sums[n + 1] for n in range(last_level))
     level_set = seq.level_set_measure(lam).as_fraction()
     return InductionTrace(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
-from carlevel import NodeAddress
+from carlevel import ROOT, CarlesonSeq, InductionTrace, NodeAddress
 
 
 def all_addresses(depth: int) -> List[NodeAddress]:
@@ -83,6 +83,37 @@ def brute_levelset(heights: List[int], threshold: Fraction) -> Fraction:
     if t <= 0:
         return Fraction(1)
     return Fraction(sum(1 for h in heights if h >= t), len(heights))
+
+
+def brute_trace(fn, seq: CarlesonSeq, lam) -> InductionTrace:
+    """induction_trace node by node: fn once for each of the 2^n nodes of every
+    level n = 0..depth + 1, with averages and heights recomputed directly."""
+    lam = Fraction(lam)
+    sums: List[Fraction] = []
+    frontier: List[Tuple[NodeAddress, Fraction]] = [(ROOT, lam)]
+    last_level = seq.depth + 1
+    for level in range(last_level + 1):
+        total = Fraction(0)
+        for addr, residual in frontier:
+            total += fn(brute_average(seq.selected, addr), residual)
+        sums.append(total / (1 << level))
+        if level == last_level:
+            break
+        nxt: List[Tuple[NodeAddress, Fraction]] = []
+        for addr, residual in frontier:
+            child_residual = residual - (1 if addr in seq.selected else 0)
+            left, right = addr.children()
+            nxt.append((left, child_residual))
+            nxt.append((right, child_residual))
+        frontier = nxt
+    level_set = brute_levelset(brute_heights(seq.selected, seq.depth), lam)
+    return InductionTrace(
+        threshold=lam,
+        level_sums=tuple(sums),
+        steps_ok=tuple(sums[n] >= sums[n + 1] for n in range(last_level)),
+        level_set=level_set,
+        final_ok=sums[-1] >= level_set,
+    )
 
 
 # -- exhaustive extremal search (heap-indexed bitmask enumeration) -------------

@@ -387,3 +387,38 @@ class TestConfigAndDeterminism:
         code, _, err = run(capsys, "eval", "--config", str(tmp_path / "nope.cfg"),
                            "--C", "2", "--A", "1", "--lambda", "1")
         assert code == 2
+
+    def test_parser_is_built_once(self, capsys):
+        first = carlevel.cli._parser()
+        for _ in range(2):
+            code, _, _ = run(capsys, "eval", "--C", "2", "--A", "1", "--lambda", "1")
+            assert code == 0
+        assert carlevel.cli._parser() is first
+
+    def test_config_files_do_not_leak_between_calls(self, capsys, tmp_path):
+        one, two = tmp_path / "one.cfg", tmp_path / "two.cfg"
+        one.write_text("C = 16/5\ngrid-exp = 2\nlambda-extra = 1/2\ntarget = counterexample\n")
+        two.write_text("C = 2\ngrid-exp = 1\n")
+        code, out, _ = run(capsys, "check", "--config", str(one))
+        assert code == 1
+        assert "# config: C=16/5 format=text grid-exp=2 lambda-extra=1/2 lambda-max=8 " \
+            "lambda-min=-2 target=counterexample\n" in out
+        code, out, _ = run(capsys, "check", "--config", str(two))
+        assert code == 0
+        assert "# config: C=2 format=text grid-exp=1 lambda-max=8 lambda-min=-2 " \
+            "target=candidate\n" in out
+        # and a call without a config does not inherit either file's values
+        code, _, err = run(capsys, "eval", "--lambda", "1")
+        assert code == 2 and "--A" in err
+
+    def test_shared_parser_prints_the_fresh_parser_help(self, capsys):
+        argvs = [["--help"]] + [[name, "--help"] for name in
+                                ("eval", "construct", "check", "search", "table", "validate")]
+        fresh = []
+        for argv in argvs:
+            carlevel.cli._parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        carlevel.cli._parser.cache_clear()
+        for _ in range(2):
+            assert [run(capsys, *argv) for argv in argvs] == fresh
+        assert all(code == 0 and out for code, out, _ in fresh)

@@ -1,16 +1,21 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+import carlevel.sequences
 from carlevel import (
     ROOT,
     CarlesonSeq,
     NodeAddress,
+    ResourceLimitError,
     carleson_constant,
     random_carleson,
 )
 from oracles import (
+    all_addresses,
     brute_average,
     brute_heights,
     brute_levelset,
@@ -80,6 +85,26 @@ class TestCarlesonConstant:
 
     def test_without_bound_flag_is_none(self):
         assert carleson_constant(chain(2)).is_c_carleson is None
+
+    @staticmethod
+    def first_maximum(seq):
+        """The strict-> scan over sorted(selected), with brute averages."""
+        best, witness = Fraction(0), ROOT
+        for a in sorted(seq.selected):
+            avg = brute_average(seq.selected, a)
+            if avg > best:
+                best, witness = avg, a
+        return best, witness
+
+    def test_witness_is_the_least_maximiser(self):
+        # every selection of depth 2 has many ties: full levels, disjoint leaves
+        seqs = [CarlesonSeq(2, sel) for sel in iter_all_selections(2)]
+        seqs += [random_carleson(d, C, 40 + d, density=0.9)
+                 for d in range(8) for C in (Fraction(1), Fraction(3, 2), Fraction(7))]
+        for seq in seqs:
+            report = carleson_constant(seq)
+            best, witness = self.first_maximum(seq)
+            assert (report.carleson_constant, report.worst_witness) == (best, witness), seq
 
 
 class TestStructure:
@@ -173,6 +198,49 @@ class TestRandomCarleson:
         b = random_carleson(6, Fraction(2), 424242)
         assert a == b
         assert a != random_carleson(6, Fraction(2), 424243)
+
+    def test_sequences_are_pinned(self):
+        # SHA-256 of the to_json() texts drawn by the ancestor-walk generator that
+        # kept its sums in a dict keyed by NodeAddress; any change in the coin order
+        # or the acceptance test changes it
+        digest = hashlib.sha256()
+        for ci, C in enumerate((Fraction(1), Fraction(3, 2), Fraction(2), Fraction(16, 5),
+                                Fraction(7))):
+            for depth in range(13):
+                for di, density in enumerate((0.25, 0.5, 0.75, 0.9)):
+                    seq = random_carleson(depth, C, 1000 * depth + 10 * ci + di, density=density)
+                    digest.update(seq.to_json().encode() + b"\n")
+        assert digest.hexdigest() == \
+            "1039b690b232b0598047551c6a898fa4d3fc0086d00d104aecc6b22c8b302f4d"
+
+    def test_acceptance_keeps_every_ancestor_within_the_bound(self):
+        # the same draw made with an ancestor walk over NodeAddress objects
+        for depth, C, seed in ((6, Fraction(3, 2), 7), (7, Fraction(16, 5), 8), (5, 1, 9)):
+            rng = random.Random(seed)
+            chosen = set()
+            for a in all_addresses(depth):
+                if rng.random() >= 0.75:
+                    continue
+                if all(brute_average(chosen | {a}, anc) <= C for anc in a.ancestors()):
+                    chosen.add(a)
+            assert random_carleson(depth, C, seed, density=0.75) == CarlesonSeq(depth, chosen)
+
+    def test_proposals_are_budgeted_before_allocation(self, monkeypatch):
+        def refuse(depth):
+            raise AssertionError(f"allocated the levels of depth {depth}")
+
+        monkeypatch.setattr(carlevel.sequences, "_zero_levels", refuse)
+        assert carlevel.sequences.MAX_PROPOSALS == 1 << 20
+        # depth 19 has 2^20 - 1 addresses, within the budget, and gets as far as allocating
+        with pytest.raises(AssertionError, match="depth 19"):
+            random_carleson(19, 2, 0)
+        for depth in (20, 64, carlevel.sequences.MAX_DEPTH):
+            with pytest.raises(ResourceLimitError, match="budget of 1048576"):
+                random_carleson(depth, 2, 0)
+        with pytest.raises(ResourceLimitError, match="depth limit"):
+            random_carleson(carlevel.sequences.MAX_DEPTH + 1, 2, 0)
+        with pytest.raises(ValueError):
+            random_carleson(-1, 2, 0)
 
 
 class TestJson:

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -20,12 +23,20 @@ from carlevel import (
     check_main_inequality,
     check_midpoint_concavity,
     check_obstacle,
+    construct_admissible,
     induction_trace,
     obstacle_indicator,
     random_carleson,
     run_all_checks,
 )
-from oracles import brute_jump_ok, brute_main_inequality_ok, brute_pair_concavity_ok
+from carlevel.cli import TARGETS, resolve_target
+from oracles import (
+    brute_average,
+    brute_jump_ok,
+    brute_main_inequality_ok,
+    brute_pair_concavity_ok,
+    brute_trace,
+)
 
 
 def small_grid(c, exp=3, lo=-2, hi=None, extras=(Fraction(1, 2), Fraction(7, 2))):
@@ -352,3 +363,66 @@ class TestInductionTrace:
             lam = (1, 2, 3)[seed % 3]
             trace = induction_trace(cand(c), seq, lam)
             assert trace.holds, (seed, trace.first_violation_level())
+
+    # integer, non-integer and non-positive root thresholds
+    THRESHOLDS = (Fraction(1), Fraction(2), Fraction(4), Fraction(1, 2), Fraction(7, 3),
+                  Fraction(0), Fraction(-1), Fraction(-3, 2))
+
+    @staticmethod
+    def trace_corpus():
+        yield Fraction(2), CarlesonSeq(3)
+        yield Fraction(2), CarlesonSeq(2, [NodeAddress(l, i) for l in range(2)
+                                           for i in range(1 << l)])
+        yield Fraction(1), construct_admissible(1, 1, 5, style="partition")
+        yield Fraction(7), construct_admissible(Fraction(45, 16), 7, 6)
+        for seed in range(12):
+            C = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(16, 5), Fraction(7))[seed % 5]
+            yield C, random_carleson(seed % 7, C, 7100 + seed, density=(0.5, 0.9)[seed % 2])
+
+    def test_grouped_trace_equals_brute_trace(self):
+        for C, seq in self.trace_corpus():
+            # the closed form, the counterexample target, the fixed oracle for this C, stubs
+            targets = [resolve_target(name, C)[0] for name, (_, implied) in TARGETS.items()
+                       if implied in (None, C)]
+            targets += [obstacle_indicator, square_stub, spike_stub, constant_zero,
+                        lambda avg, lam: 1 if lam > avg else 0]  # int-valued
+            for fn in targets:
+                for lam in self.THRESHOLDS:
+                    trace = induction_trace(fn, seq, lam)
+                    assert trace == brute_trace(fn, seq, lam), (C, seq, fn, lam)
+                    assert all(type(x) is Fraction for x in trace.level_sums)
+
+    def test_fn_called_once_per_distinct_pair_per_level(self):
+        for C, seq in self.trace_corpus():
+            for lam in (Fraction(2), Fraction(-1, 2)):
+                calls = []
+
+                def fn(avg, t):
+                    calls.append((avg, t))
+                    return cand(C)(avg, t)
+
+                induction_trace(fn, seq, lam)
+                want = Counter()
+                for level in range(seq.depth + 2):
+                    want.update({(brute_average(seq.selected, NodeAddress(level, i)),
+                                  lam - sum(1 for a in seq.selected if a.level < level
+                                            and a.is_ancestor_of(NodeAddress(level, i))))
+                                 for i in range(1 << level)})
+                assert Counter(calls) == want, (C, seq, lam)
+
+    def test_deep_staircase_trace_finishes(self):
+        # the depth + 1 partition cells; the node-by-node walk visits 2^2002 - 1 nodes
+        script = ("from fractions import Fraction\n"
+                  "from carlevel import CandidateParams, candidate_fn, construct_admissible\n"
+                  "from carlevel import induction_trace\n"
+                  "seq = construct_admissible(1, 1, 2000, style='partition')\n"
+                  "fn = candidate_fn(CandidateParams.from_constant(Fraction(1)))\n"
+                  "for lam in (1, 2, Fraction(1, 2)):\n"
+                  "    t = induction_trace(fn, seq, lam)\n"
+                  "    print(lam, t.holds, len(t.level_sums), t.level_sums[0], t.level_set)\n")
+        src = os.path.dirname(os.path.dirname(carlevel.supersolution.__file__))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["1 True 2002 1 1", "2 True 2002 0 0",
+                                            "1/2 True 2002 1 1"]
