@@ -166,10 +166,6 @@ class NodeAddress:
             return False
         return other.index >> (other.level - self.level) == self.index
 
-    def relative_measure(self) -> DyadicRational:
-        """|this interval| / |main interval| = 1/2^level."""
-        return DyadicRational(1, self.level)
-
     def ancestors(self) -> Iterator["NodeAddress"]:
         """This address and every address above it, leaf to root."""
         a = self

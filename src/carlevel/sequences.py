@@ -6,8 +6,11 @@ Carleson constant (checked on selected nodes only, which suffices), the
 generations of maximal selected intervals, the height of a leaf, and the
 normalized level-set measures of the height function.
 
-All arithmetic is exact.  Internally, subtree sums are cached as integers
-scaled by 2^N, so every query after construction is O(1) int work.
+All arithmetic is exact.  Internally the tree is kept per level on integer
+indices: the selected indices of each level, and the subtree sum under each
+index with a selection below it, as an integer scaled by 2^N.  One top-down
+walk over those indices serves the generations and the induction trace;
+NodeAddress objects are built only for outputs.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .dyadic import ROOT, DyadicRational, NodeAddress, RationalLike, to_fraction
 from .errors import ResourceLimitError
@@ -38,28 +41,32 @@ def require_depth(depth: int) -> None:
         raise ResourceLimitError(f"depth {depth} exceeds the depth limit of {MAX_DEPTH}")
 
 
-def _subtree_units(depth: int, selected: Iterable[NodeAddress]) -> Dict[NodeAddress, int]:
-    """Selected measure under each address with any, in units of 2^-depth.
+def _subtree_units(depth: int, selected: Collection[NodeAddress],
+                   ) -> Tuple[List[Dict[int, int]], List[Set[int]]]:
+    """Per level down to the deepest selection: the selected measure under each
+    index with any, in units of 2^-depth, and the selected indices.
 
     Built bottom-up, deepest level first: each level's sums pass to the
     parents once, so the cost follows the number of addresses with a
     selection below them, not the selection's size times its depth.
     """
-    by_level: Dict[int, List[int]] = {}
+    deepest = max((a.level for a in selected), default=-1)
+    selected_at: List[Set[int]] = [set() for _ in range(deepest + 1)]
     for a in selected:
-        by_level.setdefault(a.level, []).append(a.index)
-    units: Dict[NodeAddress, int] = {}
+        selected_at[a.level].add(a.index)
+    units: List[Dict[int, int]] = []
     carry: Dict[int, int] = {}
-    for level in range(max(by_level, default=-1), -1, -1):
+    for level in range(deepest, -1, -1):
         w = 1 << (depth - level)
-        for index in by_level.get(level, ()):
+        for index in selected_at[level]:
             carry[index] = carry.get(index, 0) + w
+        units.append(carry)
         parents: Dict[int, int] = {}
         for index, total in carry.items():
-            units[NodeAddress(level, index)] = total
             parents[index >> 1] = parents.get(index >> 1, 0) + total
         carry = parents
-    return units
+    units.reverse()
+    return units, selected_at
 
 
 class CarlesonSeq:
@@ -69,18 +76,20 @@ class CarlesonSeq:
     level-``depth`` leaves, where the height function is constant cell by cell.
     """
 
-    __slots__ = ("depth", "selected", "_units", "_generations")
+    __slots__ = ("depth", "selected", "_units", "_selected_at", "_generations")
 
     def __init__(self, depth: int, selected: Iterable[NodeAddress] = ()) -> None:
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
+        require_depth(depth)
         sel = frozenset(selected)
         for a in sel:
             if a.level > depth:
                 raise ValueError(f"selected address {a} below truncation depth {depth}")
+        units, selected_at = _subtree_units(depth, sel)
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "selected", sel)
-        object.__setattr__(self, "_units", _subtree_units(depth, sel))
+        # _units[level][index]: selected measure under the address, in units of 2^-depth
+        object.__setattr__(self, "_units", units)
+        object.__setattr__(self, "_selected_at", selected_at)
         object.__setattr__(self, "_generations", None)
 
     def __setattr__(self, name: str, value) -> None:
@@ -101,46 +110,40 @@ class CarlesonSeq:
 
     def carleson_average(self, j: NodeAddress) -> DyadicRational:
         """Average of the selection over j: sum over selected K inside j of |K|/|j|."""
-        if j.level > self.depth:
+        if j.level >= len(self._units):
             return DyadicRational(0)
-        return DyadicRational(self._units.get(j, 0), self.depth - j.level)
+        return DyadicRational(self._units[j.level].get(j.index, 0), self.depth - j.level)
 
     # -- maximal selected intervals ------------------------------------------
 
-    def alpha_children(self, j: NodeAddress) -> List[NodeAddress]:
-        """Maximal selected addresses strictly inside j, in address order."""
-        out: List[NodeAddress] = []
-        if j.level >= self.depth:
-            return out
-        stack = list(j.children())
-        while stack:
-            a = stack.pop()
-            if a in self.selected:
-                out.append(a)
-            elif self._units.get(a, 0) and a.level < self.depth:
-                stack.extend(a.children())
-        out.sort()
-        return out
+    def _strata(self) -> Iterator[List[Tuple[int, int, int, bool]]]:
+        """Top-down, one list per level down to the deepest selection: for each
+        address with a selection below it, in index order, (index, selected
+        strict ancestors, subtree units, whether it is selected)."""
+        live = [(0, 0)]
+        for units, selected, below in zip(self._units, self._selected_at,
+                                          self._units[1:] + [{}]):
+            stratum = [(index, k, units[index], index in selected) for index, k in live]
+            yield stratum
+            live = [(child, k + own) for index, k, _, own in stratum
+                    for child in (2 * index, 2 * index + 1) if child in below]
 
     def sparse_generations(self) -> List[List[NodeAddress]]:
-        """Generation 0 is the maximal selected addresses; each later one is
-        the maximal selected addresses strictly inside the previous."""
+        """Generation m is the selected addresses with exactly m selected strict
+        ancestors, in address order: generation 0 is the maximal selected
+        addresses, and each later one the maximal ones strictly inside the
+        previous.  Read off the top-down walk, level by level."""
         if self._generations is not None:
             return self._generations
         gens: List[List[NodeAddress]] = []
-        if ROOT in self.selected:
-            gen = [ROOT]
-        elif self._units.get(ROOT, 0):
-            gen = self.alpha_children(ROOT)
-        else:
-            gen = []
-        while gen:
-            gens.append(gen)
-            nxt: List[NodeAddress] = []
-            for k in gen:
-                nxt.extend(self.alpha_children(k))
-            nxt.sort()
-            gen = nxt
+        for level, stratum in enumerate(self._strata()):
+            for index, k, _, own in stratum:
+                if own:
+                    # its k selected strict ancestors sit on earlier levels, so
+                    # generations 0..k-1 already exist
+                    if k == len(gens):
+                        gens.append([])
+                    gens[k].append(NodeAddress(level, index))
         object.__setattr__(self, "_generations", gens)
         return gens
 
@@ -161,7 +164,8 @@ class CarlesonSeq:
         if leaf.level != self.depth:
             raise ValueError(
                 f"height is evaluated at leaf level {self.depth}, got level {leaf.level}")
-        return sum(1 for a in leaf.ancestors() if a in self.selected)
+        return sum(1 for level, selected in enumerate(self._selected_at)
+                   if leaf.index >> (self.depth - level) in selected)
 
     def level_set_measure(self, threshold: RationalLike) -> DyadicRational:
         """Normalized measure of the set where the height is >= threshold.
@@ -254,11 +258,13 @@ def carleson_constant(seq: CarlesonSeq, C: Optional[RationalLike] = None) -> Val
     averages, so it can never exceed their sup.  The witness is the least
     address attaining it.
     """
-    units = seq._units
     # average * 2^depth is units << level; ties go to the least (level, index)
-    witness = max(seq.selected, default=ROOT,
-                  key=lambda a: (units[a] << a.level, -a.level, -a.index))
-    best = seq.carleson_average(witness)
+    top, neg_level, neg_index = max(
+        ((seq._units[level][index] << level, -level, -index)
+         for level, selected in enumerate(seq._selected_at) for index in selected),
+        default=(0, 0, 0))
+    witness = NodeAddress(-neg_level, -neg_index)
+    best = DyadicRational(top, seq.depth)
     is_c = None
     if C is not None:
         is_c = best.as_fraction() <= to_fraction(C)

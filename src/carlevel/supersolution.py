@@ -25,7 +25,7 @@ from itertools import chain
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .candidate import CheckGrid
-from .dyadic import ROOT, NodeAddress, RationalLike, grid_top, to_fraction
+from .dyadic import RationalLike, grid_top, to_fraction
 from .sequences import CarlesonSeq
 
 EvaluableFn = Callable[[Fraction, Fraction], Fraction]
@@ -288,37 +288,32 @@ def induction_trace(fn: EvaluableFn, seq: CarlesonSeq, lam: RationalLike) -> Ind
     A node's term depends only on its subtree average and its count of
     selected strict ancestors, so each level's nodes are grouped by that
     pair and fn is called once per distinct pair, weighted by its count.
-    Nodes with no selection below them are never visited: they are carried
-    as one count per residual, doubling each level.  The cost follows the
-    nodes with a selection below them, not the 2^(depth+2) - 1 in the tree.
+    The nodes with a selection below them come from the sequence's top-down
+    walk over its per-level indices, the one its generations are read from;
+    the rest are never visited: they are carried as one count per residual,
+    doubling each level.  The cost follows the nodes with a selection below
+    them, not the 2^(depth+2) - 1 in the tree.
     """
     lam = to_fraction(lam)
-    units, selected = seq._units, seq.selected
     sums: List[Fraction] = []
-    # (address, selected strict ancestors) for each node with a selection below it
-    live: List[Tuple[NodeAddress, int]] = [(ROOT, 0)] if units else []
-    # selected strict ancestors -> how many nodes with nothing below them have that many
-    empty: Counter = Counter() if live else Counter({0: 1})
+    strata = seq._strata()
+    # selected strict ancestors -> how many nodes of the level have that many: the
+    # root to begin with, then the children of the level above
+    empty = Counter({0: 1})
     last_level = seq.depth + 1
     for level in range(last_level + 1):
-        groups = Counter({(0, k): n for k, n in empty.items()})
-        groups.update((units[addr], k) for addr, k in live)
+        # the nodes with a selection below them
+        stratum = next(strata, [])
+        empty.subtract(k for _, k, _, _ in stratum)
+        groups = Counter({(0, k): n for k, n in empty.items() if n})
+        groups.update((u, k) for _, k, u, _ in stratum)
         scale = 1 << max(seq.depth - level, 0)
         total = sum((n * fn(Fraction(u, scale), lam - k) for (u, k), n in groups.items()),
                     Fraction(0))
         sums.append(total / (1 << level))
-        if level == last_level:
-            break
-        empty = Counter({k: 2 * n for k, n in empty.items()})
-        nxt: List[Tuple[NodeAddress, int]] = []
-        for addr, k in live:
-            k += addr in selected
-            for child in addr.children():
-                if child in units:
-                    nxt.append((child, k))
-                else:
-                    empty[k] += 1
-        live = nxt
+        # every node, empty or live, has two children
+        empty.update(k + own for _, k, _, own in stratum)
+        empty = Counter({k: 2 * n for k, n in empty.items() if n})
     steps_ok = tuple(sums[n] >= sums[n + 1] for n in range(last_level))
     level_set = seq.level_set_measure(lam).as_fraction()
     return InductionTrace(

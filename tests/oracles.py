@@ -67,6 +67,17 @@ def brute_units(depth: int, selected: Iterable[NodeAddress]) -> Dict[NodeAddress
     return units
 
 
+def brute_generations(selected: Iterable[NodeAddress]) -> List[List[NodeAddress]]:
+    """Generation m: the selected addresses with m selected strict ancestors, sorted,
+    by walking every selected address's ancestors."""
+    sel = set(selected)
+    gens: Dict[int, List[NodeAddress]] = {}
+    for a in sel:
+        m = sum(1 for anc in a.ancestors() if anc != a and anc in sel)
+        gens.setdefault(m, []).append(a)
+    return [sorted(gens[m]) for m in range(len(gens))]
+
+
 def brute_heights(selected: Iterable[NodeAddress], depth: int) -> List[int]:
     """Height of each level-``depth`` leaf: selected addresses containing it."""
     sel = set(selected)

@@ -105,17 +105,6 @@ class TestNodeAddress:
         assert not NodeAddress(2, 1).is_ancestor_of(NodeAddress(2, 2))
         assert NodeAddress(2, 1).is_ancestor_of(NodeAddress(2, 1))
 
-    def test_relative_measure_examples(self):
-        assert ROOT.relative_measure() == DyadicRational(1)
-        assert NodeAddress(3, 5).relative_measure() == Fraction(1, 8)
-        assert NodeAddress(10, 0).relative_measure() == Fraction(1, 1024)
-
-    def test_level_partition(self):
-        for level in range(9):
-            total = sum(NodeAddress(level, index).relative_measure().as_fraction()
-                        for index in range(1 << level))
-            assert total == 1
-
     def test_trichotomy(self):
         # any two addresses are nested or their leaf spans are disjoint
         rng = random.Random(7)

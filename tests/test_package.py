@@ -16,7 +16,8 @@ REMOVED = {
     carlevel.construct: ("_fractional_addresses",),
     carlevel.LevelSetDP: ("_shift",),
     carlevel.candidate: ("BellmanPoint", "require_grid_budget"),
-    carlevel.CarlesonSeq: ("subtree_units",),
+    carlevel.NodeAddress: ("relative_measure",),
+    carlevel.CarlesonSeq: ("subtree_units", "alpha_children"),
     carlevel.sequences: ("carleson_average", "alpha_children", "sparse_generations",
                          "generation_measure", "height_at", "level_set_measure", "truncate"),
     carlevel.extremal: ("DPKey", "DPCell", "DPTable", "reconstruct_witness",

@@ -17,6 +17,7 @@ from carlevel import (
 from oracles import (
     all_addresses,
     brute_average,
+    brute_generations,
     brute_heights,
     brute_levelset,
     brute_sup_all_addresses,
@@ -28,6 +29,12 @@ from oracles import (
 def chain(n):
     """Leftmost chain: the first address of every level 0..n."""
     return CarlesonSeq(n, [NodeAddress(k, 0) for k in range(n + 1)])
+
+
+def flat_units(seq):
+    """The per-level subtree sums keyed by NodeAddress, as brute_units keys them."""
+    return {NodeAddress(level, index): units
+            for level, by_index in enumerate(seq._units) for index, units in by_index.items()}
 
 
 class TestAverages:
@@ -59,9 +66,9 @@ class TestAverages:
             C = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(16, 5), Fraction(7))[seed % 5]
             depth = seed % 13
             seq = random_carleson(depth, C, 5100 + seed, density=(0.25, 0.5, 0.9)[seed % 3])
-            assert seq._units == brute_units(depth, seq.selected), seed
-        assert chain(6)._units == brute_units(6, chain(6).selected)
-        assert CarlesonSeq(4)._units == {}
+            assert flat_units(seq) == brute_units(depth, seq.selected), seed
+        assert flat_units(chain(6)) == brute_units(6, chain(6).selected)
+        assert CarlesonSeq(4)._units == []
 
 
 class TestCarlesonConstant:
@@ -108,17 +115,32 @@ class TestCarlesonConstant:
 
 
 class TestStructure:
+    # the alpha children of an address, its maximal selected addresses strictly
+    # inside, make up the next generation
     def test_alpha_children_skips_non_maximal(self):
         seq = CarlesonSeq(2, [ROOT, NodeAddress(1, 0), NodeAddress(2, 1)])
-        assert seq.alpha_children(ROOT) == [NodeAddress(1, 0)]
+        assert seq.sparse_generations() == [[ROOT], [NodeAddress(1, 0)], [NodeAddress(2, 1)]]
 
     def test_alpha_children_siblings(self):
         seq = CarlesonSeq(1, [NodeAddress(1, 0), NodeAddress(1, 1)])
-        assert seq.alpha_children(ROOT) == [NodeAddress(1, 0), NodeAddress(1, 1)]
+        assert seq.sparse_generations() == [[NodeAddress(1, 0), NodeAddress(1, 1)]]
 
     def test_alpha_children_at_leaf_level_empty(self):
+        # the leaf (3, 0) has none, so the generations end with it
         seq = chain(3)
-        assert seq.alpha_children(NodeAddress(3, 0)) == []
+        assert seq.sparse_generations() == [[NodeAddress(k, 0)] for k in range(4)]
+
+    def test_depth_is_checked_before_the_sums(self, monkeypatch):
+        def refuse(depth, selected):
+            raise AssertionError(f"built the sums of depth {depth}")
+
+        monkeypatch.setattr(carlevel.sequences, "_subtree_units", refuse)
+        with pytest.raises(ResourceLimitError, match="depth limit"):
+            CarlesonSeq(carlevel.sequences.MAX_DEPTH + 1, [ROOT])
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            CarlesonSeq(-1)
+        with pytest.raises(AssertionError, match="depth 3"):
+            CarlesonSeq(3, [ROOT])
 
     def test_generations_root_only(self):
         assert CarlesonSeq(0, [ROOT]).sparse_generations() == [[ROOT]]
@@ -290,6 +312,7 @@ class TestInvariantsExhaustiveSmallDepth:
             for sel in iter_all_selections(depth):
                 seq = CarlesonSeq(depth, sel)
                 heights = brute_heights(sel, depth)  # once per selection, not per m
+                assert seq.sparse_generations() == brute_generations(sel)
                 for m in range(1, depth + 3):
                     v = seq.level_set_measure(m)
                     assert v == seq.generation_measure(m - 1)
@@ -312,6 +335,7 @@ class TestInvariantsRandomCorpus:
                 brute_sup_all_addresses(seq.selected, depth)
             # nesting: generation measures are non-increasing
             gens = seq.sparse_generations()
+            assert gens == brute_generations(seq.selected)
             measures = [seq.generation_measure(m).as_fraction() for m in range(len(gens) + 1)]
             assert all(x >= y for x, y in zip(measures, measures[1:]))
             # each generation is pairwise disjoint
