@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -67,43 +66,34 @@ def _emit(text: str, out: Optional[str]) -> None:
             sys.stdout.write("\n")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully resolved invocation: the subcommand plus stringified parameters.
+def _options(args: argparse.Namespace) -> Dict[str, str]:
+    """The invocation's parameters as strings, sorted by name.
 
     Destination paths stay out of it so an artifact's bytes depend only on
     the computation it records, never on where it lands."""
-
-    command: str
-    options: Dict[str, str]
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        skip = {"command", "func", "config", "out", "emit_witness"}
-        options = {}
-        for key, value in sorted(vars(args).items()):
-            if key in skip or value is None:
-                continue
-            if isinstance(value, (list, tuple)):
-                options[key.replace("_", "-")] = ",".join(str(v) for v in value)
-            else:
-                options[key.replace("_", "-")] = str(value)
-        return cls(command=args.command, options=options)
+    skip = {"command", "func", "config", "out", "emit_witness"}
+    options = {}
+    for key, value in sorted(vars(args).items()):
+        if key in skip or value is None:
+            continue
+        if isinstance(value, (list, tuple)):
+            options[key.replace("_", "-")] = ",".join(str(v) for v in value)
+        else:
+            options[key.replace("_", "-")] = str(value)
+    return options
 
 
 def _provenance(args: argparse.Namespace, extra: Optional[Dict[str, str]] = None) -> Dict:
-    cfg = RunConfig.from_args(args)
     info = {"tool": PROG, "version": __version__,
-            "command": cfg.command, "config": cfg.options}
+            "command": args.command, "config": _options(args)}
     if extra:
         info.update(extra)
     return info
 
 
 def _header_lines(args: argparse.Namespace, extra: Optional[Dict[str, str]] = None) -> List[str]:
-    cfg = RunConfig.from_args(args)
-    opts = " ".join(f"{k}={v}" for k, v in cfg.options.items())
-    lines = [f"# {PROG} {__version__}", f"# command: {cfg.command}", f"# config: {opts}"]
+    opts = " ".join(f"{k}={v}" for k, v in _options(args).items())
+    lines = [f"# {PROG} {__version__}", f"# command: {args.command}", f"# config: {opts}"]
     for key, value in (extra or {}).items():
         lines.append(f"# {key}: {value}")
     return lines
@@ -244,7 +234,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     require_power_budget(engine.C, args.m)
     value, witness = engine.max_levelset(args.depth, args.A, args.m)
     target = candidate_eval(engine.params, args.A, args.m)
-    gap = target - value.as_fraction()
+    gap = target - value
     rows = None
     if args.report_convergence is not None:
         rows = engine.convergence(args.A, args.m, args.report_convergence)

@@ -1,10 +1,11 @@
 """Exact dyadic rationals and combinatorial dyadic-grid addresses.
 
-Numbers of the form p/2^e are kept in a dedicated type so that quantities
-which are provably dyadic (interval measures, selection averages) can never
-silently acquire an odd denominator.  General rationals (the Carleson bound
-C may be something like 16/5) are plain ``fractions.Fraction``; the two mix
-only through exact cross-multiplication comparisons.
+Every rational is a ``fractions.Fraction``.  Quantities that are provably
+dyadic, p/2^e (interval measures, selection averages, DP values), are
+returned as ``DyadicRational``, a Fraction that refuses any other
+denominator when built; it compares, hashes, prints and computes as a
+Fraction, and its arithmetic gives plain Fractions.  General rationals
+(the Carleson bound C may be something like 16/5) are plain Fractions.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ from typing import Iterator, Tuple, Union
 
 from .errors import PrecisionError
 
-RationalLike = Union["DyadicRational", Fraction, int]
+RationalLike = Union[Fraction, int]
 
 
 def to_fraction(x: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or DyadicRational to an exact Fraction."""
-    if isinstance(x, DyadicRational):
-        return x.as_fraction()
-    if isinstance(x, (int, Fraction)):
+    """An int as an exact Fraction; a Fraction, DyadicRational included, as it is."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -49,87 +50,24 @@ def grid_top(x: RationalLike, e: int) -> int:
     return (f.numerator << e) // f.denominator
 
 
-class DyadicRational:
-    """Exact number numerator / 2^log2_denominator, eagerly canonicalized.
+class DyadicRational(Fraction):
+    """A Fraction whose reduced denominator is a power of two.
 
-    Canonical form: the numerator is odd or zero, or the exponent is 0, so
-    equality is structural.  Never constructible from a non-dyadic rational;
-    arithmetic goes through ``as_fraction()``.
+    Built like a Fraction, ``DyadicRational(numerator, denominator)`` or from
+    one string or rational, and refused with PrecisionError otherwise.
+    Arithmetic returns a plain Fraction.
     """
 
-    __slots__ = ("numerator", "log2_denominator")
+    __slots__ = ()
 
-    def __init__(self, numerator: int, log2_denominator: int = 0) -> None:
-        if log2_denominator < 0:
-            raise ValueError("log2_denominator must be >= 0")
-        n, e = numerator, log2_denominator
-        if n == 0:
-            e = 0
-        else:
-            # strip the trailing zero bits, but never below exponent 0
-            shift = min((n & -n).bit_length() - 1, e)
-            n, e = n >> shift, e - shift
-        object.__setattr__(self, "numerator", n)
-        object.__setattr__(self, "log2_denominator", e)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("DyadicRational is immutable")
-
-    @classmethod
-    def from_fraction(cls, f: RationalLike) -> "DyadicRational":
-        """Exact conversion; rejects denominators that are not powers of two."""
-        if isinstance(f, DyadicRational):
-            return f
-        f = Fraction(f)
-        return cls(f.numerator, dyadic_exponent(f))
-
-    @classmethod
-    def parse(cls, text: str) -> "DyadicRational":
-        return cls.from_fraction(parse_rational(text))
+    def __new__(cls, numerator=0, denominator=None) -> "DyadicRational":
+        self = super().__new__(cls, numerator, denominator)
+        dyadic_exponent(self)
+        return self
 
     def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, 1 << self.log2_denominator)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, DyadicRational):
-            return (self.numerator == other.numerator
-                    and self.log2_denominator == other.log2_denominator)
-        if isinstance(other, (int, Fraction)):
-            return self.as_fraction() == other
-        return NotImplemented
-
-    def __lt__(self, other: RationalLike) -> bool:
-        return self.as_fraction() < to_fraction(other)
-
-    def __le__(self, other: RationalLike) -> bool:
-        return self.as_fraction() <= to_fraction(other)
-
-    def __gt__(self, other: RationalLike) -> bool:
-        return self.as_fraction() > to_fraction(other)
-
-    def __ge__(self, other: RationalLike) -> bool:
-        return self.as_fraction() >= to_fraction(other)
-
-    def __hash__(self) -> int:
-        # matches Fraction's numeric hash, so dyadics and fractions mix in sets
-        return hash(self.as_fraction())
-
-    def __bool__(self) -> bool:
-        return self.numerator != 0
-
-    def __floor__(self) -> int:
-        return self.numerator >> self.log2_denominator
-
-    def __ceil__(self) -> int:
-        return -((-self.numerator) >> self.log2_denominator)
-
-    def __str__(self) -> str:
-        if self.log2_denominator == 0:
-            return str(self.numerator)
-        return f"{self.numerator}/{1 << self.log2_denominator}"
-
-    def __repr__(self) -> str:
-        return f"DyadicRational({self.numerator}, {self.log2_denominator})"
+        """The same value as a plain Fraction (``bench/workloads.py`` still calls it)."""
+        return Fraction(self)
 
 
 @dataclass(frozen=True, order=True)

@@ -263,7 +263,7 @@ class LevelSetDP:
 
     def value(self, depth: int, average: RationalLike, level: int) -> DyadicRational:
         n, m = self._check_key(depth, average, level)
-        return DyadicRational(self._count(depth, n, m), depth)
+        return DyadicRational(self._count(depth, n, m), 1 << depth)
 
     def max_levelset(self, depth: int, average: RationalLike,
                      level: int) -> Tuple[DyadicRational, CarlesonSeq]:
@@ -271,7 +271,7 @@ class LevelSetDP:
         count = self._count(depth, n, m)
         selected: Set[NodeAddress] = set()
         self._place_selection(ROOT, depth, n, m, selected)
-        return DyadicRational(count, depth), CarlesonSeq(depth, selected)
+        return DyadicRational(count, 1 << depth), CarlesonSeq(depth, selected)
 
     def table(self, depth: int, m_max: int) -> List[Tuple[Fraction, int, Fraction]]:
         """Every (a, m, F_depth(a, m)) with 0 <= m <= m_max, sorted by a and then m."""
@@ -307,6 +307,6 @@ class LevelSetDP:
         for depth in range(start, depth_max + 1):
             val = self.value(depth, f, level)
             rows.append(ConvergenceRow(depth=depth, value=val,
-                                       gap=target - val.as_fraction()))
+                                       gap=target - val))
         return rows
 

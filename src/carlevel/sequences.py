@@ -112,7 +112,7 @@ class CarlesonSeq:
         """Average of the selection over j: sum over selected K inside j of |K|/|j|."""
         if j.level >= len(self._units):
             return DyadicRational(0)
-        return DyadicRational(self._units[j.level].get(j.index, 0), self.depth - j.level)
+        return DyadicRational(self._units[j.level].get(j.index, 0), 1 << (self.depth - j.level))
 
     # -- maximal selected intervals ------------------------------------------
 
@@ -155,7 +155,7 @@ class CarlesonSeq:
         if m >= len(gens):
             return DyadicRational(0)
         total = sum(1 << (self.depth - a.level) for a in gens[m])
-        return DyadicRational(total, self.depth)
+        return DyadicRational(total, 1 << self.depth)
 
     # -- heights and level sets ----------------------------------------------
 
@@ -193,7 +193,8 @@ class CarlesonSeq:
         return {
             "format": JSON_FORMAT,
             "depth": self.depth,
-            "selected": [[a.level, a.index] for a in sorted(self.selected)],
+            "selected": [[level, index] for level, indices in enumerate(self._selected_at)
+                         for index in sorted(indices)],
         }
 
     def to_json(self) -> str:
@@ -264,10 +265,10 @@ def carleson_constant(seq: CarlesonSeq, C: Optional[RationalLike] = None) -> Val
          for level, selected in enumerate(seq._selected_at) for index in selected),
         default=(0, 0, 0))
     witness = NodeAddress(-neg_level, -neg_index)
-    best = DyadicRational(top, seq.depth)
+    best = DyadicRational(top, 1 << seq.depth)
     is_c = None
     if C is not None:
-        is_c = best.as_fraction() <= to_fraction(C)
+        is_c = best <= to_fraction(C)
     return ValidationReport(
         carleson_constant=best,
         average_at_root=seq.carleson_average(ROOT),

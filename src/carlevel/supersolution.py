@@ -315,7 +315,7 @@ def induction_trace(fn: EvaluableFn, seq: CarlesonSeq, lam: RationalLike) -> Ind
         empty.update(k + own for _, k, _, own in stratum)
         empty = Counter({k: 2 * n for k, n in empty.items() if n})
     steps_ok = tuple(sums[n] >= sums[n + 1] for n in range(last_level))
-    level_set = seq.level_set_measure(lam).as_fraction()
+    level_set = seq.level_set_measure(lam)
     return InductionTrace(
         threshold=lam,
         level_sums=tuple(sums),

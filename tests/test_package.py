@@ -1,4 +1,6 @@
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import carlevel
@@ -13,6 +15,7 @@ REMOVED = {
     carlevel.dyadic: ("Rational", "DYADIC_ZERO", "DYADIC_ONE", "gr_compare", "children",
                       "is_ancestor", "relative_measure", "compare", "ceil_rational",
                       "floor_rational"),
+    carlevel.DyadicRational: ("parse", "from_fraction", "log2_denominator"),
     carlevel.construct: ("_fractional_addresses",),
     carlevel.LevelSetDP: ("_shift",),
     carlevel.candidate: ("BellmanPoint", "require_grid_budget"),
@@ -51,3 +54,13 @@ def test_bench_entry_points_resolve():
         for part in dotted.split("."):
             owner = getattr(owner, part)
         assert callable(owner), f"{module_name}.{dotted}"
+
+
+def test_bench_gate_selftest_passes():
+    # the benchmark's correctness gate calls the library (as_fraction, selected, level);
+    # a change that breaks one of those calls fails here, not only in a benchmark run
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "bench/selftest.py"], cwd=root,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert " 0 missed" in proc.stdout, proc.stdout
