@@ -10,6 +10,7 @@ Fraction, and its arithmetic gives plain Fractions.  General rationals
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Tuple, Union
@@ -20,7 +21,7 @@ RationalLike = Union[Fraction, int]
 
 
 def to_fraction(x: RationalLike) -> Fraction:
-    """An int as an exact Fraction; a Fraction, DyadicRational included, as it is."""
+    """An int as an exact Fraction; a Fraction, or a subclass of one, as it is."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -54,13 +55,24 @@ class DyadicRational(Fraction):
     """A Fraction whose reduced denominator is a power of two.
 
     Built like a Fraction, ``DyadicRational(numerator, denominator)`` or from
-    one string or rational, and refused with PrecisionError otherwise.
-    Arithmetic returns a plain Fraction.
+    one string or rational, and refused with PrecisionError otherwise; a
+    float or Decimal raises TypeError.  Arithmetic returns a plain Fraction.
     """
 
     __slots__ = ()
 
     def __new__(cls, numerator=0, denominator=None) -> "DyadicRational":
+        if (type(numerator) is int and type(denominator) is int and denominator > 0
+                and not denominator & (denominator - 1)):
+            # n / 2^e: strip the common trailing zero bits (all of them when n is 0)
+            # in linear time, where Fraction's gcd is quadratic in the bit lengths
+            # of an unbalanced pair; the pair is then reduced, so the gcd is skipped
+            shift = min(numerator & -numerator or denominator, denominator).bit_length() - 1
+            self = object.__new__(cls)
+            self._numerator, self._denominator = numerator >> shift, denominator >> shift
+            return self
+        if not isinstance(numerator, (str, numbers.Rational)):
+            raise TypeError(f"not an exact rational: {numerator!r}")
         self = super().__new__(cls, numerator, denominator)
         dyadic_exponent(self)
         return self
