@@ -17,19 +17,39 @@ the selected subtree averages below it.
 The engine tabulates bottom-up by rows.  The row F_d(., m) holds an
 integer leaf count out of 2^d for every average numerator n = 0..cap(d) at
 scale 2^d, so the whole computation is big-int arithmetic and dyadic
-rationals appear only at the API boundary.  With r the row F_{d-1}(., m - g)
-and rem = n - g 2^d, each cell is one windowed (max,+) self-convolution
+rationals appear only at the API boundary.  The split window of a cell
+depends only on rem = n - g 2^d, and it is the whole domain of the child
+row r: 0 <= n1 <= cap(d - 1) and 0 <= rem - n1 <= cap(d - 1).  So with
+K = r (+) r, the plain (max,+) self-convolution
 
-    max(r[n1] + r[rem - n1] for lo <= n1 <= hi),   hi <= rem // 2,
+    K[rem] = max(r[n1] + r[rem - n1] over the window),
 
-tried with g = 1 first and with g = 0 only when g = 1 did not fill all 2^d
-leaves.  Rows for levels m <= 0 (all leaves) and m > d + 1 (none) are never
-stored.  Each stored row is computed once per engine and every cell of it
-is checked against the closed form.  A point query computes only its own
-cell from the rows below it, and a witness rebuilds the maximizing split
-only along its own path.  Before filling anything, a call counts the row
-cells it would add to the cache and refuses, with ResourceLimitError, to
-take the cache past the engine's cell cap.
+the row is F_d(n / 2^d, m) = max(K_{m-1}[n - 2^d], K_m[n]) over the
+feasible g, where K_j belongs to the child row (d - 1, j), K_0 is all 2^d
+and K_{d+1} all 0.  One convolution serves both parent rows (d, j) and
+(d, j + 1).  It is computed on the value axis (Chi, Duan, Xie and Zhang,
+"Faster min-plus product for monotone instances", STOC 2022): a stored row
+is non-decreasing with entries in [0, 2^(d-1)], so with
+
+    p[a] = the first n with r[n] >= a,   a = 0..r[-1],
+    Q    = the (min,+) self-convolution of p,
+
+K[rem] is the largest v with Q[v] <= rem, read off in one walk.  Its cost
+is quadratic in the V = r[-1] + 1 <= 2^(d-1) + 1 distinct values, not in
+the row length of about C 2^d.  The value axis is sound only on
+non-decreasing rows, so every finished row is checked for that in one pass
+and a decrease raises; each convolution is dropped once the rows of the
+next depth are built.  Every cell at depth d >= 1 is then checked against
+the closed form with one exact integer comparison.  Rows for levels m <= 0
+(all leaves) and m > d + 1 (none) are never stored.
+
+A point query computes only its own cell by one scan of its split window
+over the rows below it, and a witness rebuilds the maximizing split the
+same way, only along its own path.  Before filling anything, a call counts
+the row cells it would add to the cache and refuses, with
+ResourceLimitError, to take the cache past the engine's cell cap; it then
+bounds the kernel's work, V(V + 1) / 2 pair steps per convolution, and
+refuses above KERNEL_WORK_BUDGET.
 
 table() returns plain sorted (a, m, value) rows of Fractions, one per
 admissible average and level, including the all-leaf and empty levels.
@@ -41,9 +61,11 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from itertools import chain, groupby, repeat
+from operator import add, gt, itemgetter
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .candidate import CandidateParams, candidate_eval
@@ -55,6 +77,26 @@ from .sequences import CarlesonSeq
 DEFAULT_CELL_CAP = 1_000_000
 DEFAULT_DEPTH_LIMIT = 12
 CELL_CAP_ENV = "CARLEVEL_CELL_CAP"
+KERNEL_WORK_BUDGET = 1 << 28  # (min,+) pair steps of the row kernel per call
+
+
+def self_convolution(row: List[int]) -> List[int]:
+    """K[rem] = max(row[n1] + row[rem - n1] for 0 <= n1, rem - n1 < len(row)),
+    rem = 0..2 (len(row) - 1), for a non-decreasing row of non-negative ints.
+
+    Computed on the value axis: p[a] is the first n with row[n] >= a, Q is
+    the (min,+) self-convolution of p, and K[rem] is the largest v with
+    Q[v] <= rem.  That takes V(V + 1) / 2 pair steps for V = row[-1] + 1.
+    """
+    top = row[-1]
+    p = [bisect_left(row, a) for a in range(top + 1)]
+    rp = p[::-1]
+    q = []
+    for v in range(2 * top + 1):
+        lo, hi = max(0, v - top), v // 2
+        q.append(min(map(add, p[lo:hi + 1], rp[top - v + lo:top - v + hi + 1])))
+    q.append(2 * len(row) - 1)
+    return list(chain.from_iterable(repeat(v, q[v + 1] - q[v]) for v in range(2 * top + 1)))
 
 
 @dataclass(frozen=True)
@@ -165,11 +207,55 @@ class LevelSetDP:
                 break
         if best < 0:
             raise AssertionError(f"infeasible state ({d}, {n}, {m}) reached")
-        bound = candidate_eval(self.params, Fraction(n, full), m)
-        if Fraction(best, full) > bound:
-            raise AssertionError(f"DP cell (d, n, m) = ({d}, {n}, {m}) has value "
-                                 f"{Fraction(best, full)} above the closed form {bound}")
+        self._check_cell(d, n, m, best)
         return best
+
+    def _check_cell(self, d: int, n: int, m: int, count: int) -> None:
+        """Raise unless the leaf count is within the closed form at (n / 2^d, m)."""
+        full = 1 << d
+        bound = candidate_eval(self.params, Fraction(n, full), m)
+        if count * bound.denominator > bound.numerator * full:
+            raise AssertionError(f"DP cell (d, n, m) = ({d}, {n}, {m}) has value "
+                                 f"{Fraction(count, full)} above the closed form {bound}")
+
+    def _row(self, d: int, m: int, convs: Dict[int, List[int]]) -> List[int]:
+        """The row (d, m), from the self-convolutions of the stored rows at depth d - 1.
+
+        convs maps a level j to the convolution of the row (d - 1, j); a
+        missing one is computed and kept for the other parent row it serves.
+        """
+        cap = self._cap_num(d)
+        if d == 0:
+            return list(range(cap + 1))
+        full = 1 << d
+        span = 2 * self._cap_num(d - 1) + 1  # rem = 0..2 cap(d - 1) is feasible
+
+        def conv(j: int) -> List[int]:
+            if j <= 0:
+                return [full] * span
+            if j > d:
+                return [0] * span
+            k = convs.get(j)
+            if k is None:
+                k = convs[j] = self_convolution(self._rows[(d - 1, j)])
+            return k
+
+        # n = rem with the root unselected, n = rem + 2^d with it selected;
+        # cap(d) <= 2^d + 2 cap(d - 1), so the two cover 0..cap(d)
+        stay = conv(m)[:cap + 1]
+        select = conv(m - 1)[:cap + 1 - full]
+        return stay[:full] + list(map(max, stay[full:], select)) + select[len(stay) - full:]
+
+    def _check_row(self, d: int, m: int, row: List[int]) -> None:
+        """Raise unless the row is non-decreasing, as the kernel needs, and
+        every cell at depth d >= 1 is within the closed form."""
+        if any(map(gt, row, row[1:])):
+            n = next(n for n in range(1, len(row)) if row[n] < row[n - 1])
+            raise AssertionError(f"DP row (d, m) = ({d}, {m}) decreases at n = {n}, "
+                                 f"so the value-axis kernel does not apply")
+        if d:
+            for n, count in enumerate(row):
+                self._check_cell(d, n, m, count)
 
     @staticmethod
     def _child_levels(d: int, levels: Set[int], gammas: Tuple[int, ...]) -> Set[int]:
@@ -179,8 +265,9 @@ class LevelSetDP:
     def _fill_rows(self, d: int, levels: Set[int]) -> None:
         """Store the rows (d, m), m in levels, and every row below them they need.
 
-        The rows still missing are listed first and their cells counted
-        against the cell cap before any of them is computed.
+        The rows still missing are listed first, and their cells and the
+        kernel work they take are counted against the cell cap and the work
+        budget before any of them is computed.
         """
         plan: List[Tuple[int, int]] = []
         levels = {m for m in levels if (d, m) not in self._rows}
@@ -199,9 +286,22 @@ class LevelSetDP:
                 raise ResourceLimitError(
                     f"rows up to depth {plan[0][0]} need more than the cell cap of "
                     f"{self.cell_cap} row cells")
-        for depth, m in reversed(plan):
-            self._rows[(depth, m)] = [self._best(depth, n, m)
-                                      for n in range(self._cap_num(depth) + 1)]
+        # one convolution per child row (depth - 1, j) of a planned row, with V <= 2^(depth-1) + 1
+        convolved = {(depth, j) for depth, m in plan
+                     for j in self._child_levels(depth, {m}, (1, 0))}
+        values = [(1 << depth - 1) + 1 for depth, _ in convolved]
+        work = sum(v * (v + 1) // 2 for v in values)
+        if work > KERNEL_WORK_BUDGET:
+            raise ResourceLimitError(
+                f"rows up to depth {plan[0][0]} need up to {work} kernel steps, more than "
+                f"the work budget of {KERNEL_WORK_BUDGET}")
+        for depth, planned in groupby(reversed(plan), key=itemgetter(0)):
+            # the convolutions of the rows at depth - 1; the previous depth's are dropped
+            convs: Dict[int, List[int]] = {}
+            for _, m in planned:
+                row = self._row(depth, m, convs)
+                self._check_row(depth, m, row)
+                self._rows[(depth, m)] = row
 
     def _count(self, d: int, n: int, m: int) -> int:
         """F_d(n / 2^d, m) as a leaf count; fills only the rows below the cell."""

@@ -63,7 +63,9 @@ def _subtree_units(depth: int, selected: Collection[NodeAddress],
         units.append(carry)
         parents: Dict[int, int] = {}
         for index, total in carry.items():
-            parents[index >> 1] = parents.get(index >> 1, 0) + total
+            # a lone child's sum passes up as the same int, not a copy per level
+            parent = index >> 1
+            parents[parent] = parents[parent] + total if parent in parents else total
         carry = parents
     units.reverse()
     return units, selected_at

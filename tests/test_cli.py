@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import carlevel.candidate
@@ -274,6 +275,7 @@ class TestSearchAndTable:
         def no_rows(*args):
             raise AssertionError("a row cell was computed before the refusal")
         monkeypatch.setattr(LevelSetDP, "_best", no_rows)
+        monkeypatch.setattr(LevelSetDP, "_row", no_rows)
         argv = ("search", "--C", "2", "--depth", "30", "--A", "1", "--m", "3")
         code, _, err = run(capsys, *argv)
         assert code == 2
@@ -282,11 +284,24 @@ class TestSearchAndTable:
         assert code == 3
         assert "resource limit" in err
 
+    def test_search_kernel_work_is_budgeted(self, capsys, monkeypatch):
+        # the rows fit the default cell cap, but not the kernel work budget
+        def no_rows(*args):
+            raise AssertionError("a row was filled before the refusal")
+        monkeypatch.setattr(LevelSetDP, "_row", no_rows)
+        started = time.perf_counter()
+        code, _, err = run(capsys, "search", "--C", "1", "--depth", "18", "--A", "1/2",
+                           "--m", "1", "--depth-limit", "20")
+        assert code == 3
+        assert "resource limit" in err and "work budget" in err
+        assert time.perf_counter() - started < 1
+
     def test_search_threshold_power_is_budgeted(self, capsys, monkeypatch):
         def no_values(*args):
             raise AssertionError("a value was computed before the refusal")
         monkeypatch.setattr(carlevel.cli, "candidate_eval", no_values)
         monkeypatch.setattr(LevelSetDP, "_best", no_values)
+        monkeypatch.setattr(LevelSetDP, "_row", no_values)
         code, _, err = run(capsys, "search", "--C", "16/5", "--depth", "2", "--A", "1",
                            "--m", "2404")
         assert code == 3

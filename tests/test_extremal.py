@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,6 +20,7 @@ from carlevel import (
     carleson_constant,
 )
 from carlevel.cli import main
+from carlevel.extremal import self_convolution
 from oracles import brute_force_extremal
 
 
@@ -219,6 +221,61 @@ class TestClosedFormCheck:
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 1
         assert "AssertionError: DP cell (d, n, m) = (1, 3, 2)" in proc.stderr
+
+
+def position_axis_convolution(row):
+    """K[rem] = max(row[n1] + row[rem - n1]) by scanning every split of rem."""
+    top = len(row) - 1
+    return [max(row[n1] + row[rem - n1] for n1 in range(max(0, rem - top), min(rem, top) + 1))
+            for rem in range(2 * top + 1)]
+
+
+# The first filled row is F_1(., 2); with every convolution reversed it reads
+# 0, 0, 2, 1, 0 and first decreases at n = 3.
+DECREASING_ROW = "import carlevel.extremal as e\n" \
+    "kernel = e.self_convolution\n" \
+    "e.self_convolution = lambda row: kernel(row)[::-1]\n" \
+    "e.LevelSetDP(2).value(2, 2, 2)\n"
+
+
+class TestRowKernel:
+    def test_value_axis_matches_position_axis(self):
+        rng = random.Random(2025)
+        rows = [[0], [5], [0] * 9, [3] * 4, [0, 0, 0, 7], list(range(12)), [0, 4, 4, 9, 20]]
+        for _ in range(400):
+            row = [rng.choice((0, 0, 1, 3))]
+            for _ in range(rng.randint(0, 40)):
+                row.append(row[-1] + rng.choice((0, 0, 0, 1, 1, 2, 3, 8)))
+            rows.append(row)
+        for row in rows:
+            assert self_convolution(row) == position_axis_convolution(row), row
+
+    def test_decreasing_row_names_the_row(self, monkeypatch):
+        kernel = carlevel.extremal.self_convolution
+        monkeypatch.setattr(carlevel.extremal, "self_convolution", lambda row: kernel(row)[::-1])
+        with pytest.raises(AssertionError, match=r"\(d, m\) = \(1, 2\) decreases at n = 3"):
+            LevelSetDP(2).value(2, 2, 2)
+
+    def test_decreasing_row_survives_optimized_mode(self):
+        src = os.path.dirname(os.path.dirname(carlevel.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", DECREASING_ROW],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert "AssertionError: DP row (d, m) = (1, 2) decreases at n = 3" in proc.stderr
+
+    def test_one_closed_form_check_per_stored_cell(self, monkeypatch):
+        calls = []
+
+        def counted(params, avg, lam):
+            calls.append(lam)
+            return candidate_eval(params, avg, lam)
+
+        monkeypatch.setattr(carlevel.extremal, "candidate_eval", counted)
+        engine = LevelSetDP(2)
+        engine.table(6, 4)
+        stored = sum(len(row) for (d, _), row in engine._rows.items() if d >= 1)
+        assert len(calls) == stored == 1013
 
 
 class TestByteIdentity:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,17 @@ class TestAverages:
             assert flat_units(seq) == brute_units(depth, seq.selected), seed
         assert flat_units(chain(6)) == brute_units(6, chain(6).selected)
         assert CarlesonSeq(4)._units == []
+
+    def test_lone_subtree_sum_is_shared_up_the_levels(self):
+        # one 2^61440-unit sum under 4096 ancestors: a copy per level would take 31 MB
+        tracemalloc.start()
+        try:
+            seq = CarlesonSeq(1 << 16, [NodeAddress(1 << 12, 0)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        assert seq.carleson_average(ROOT) == Fraction(1, 1 << (1 << 12))
 
 
 class TestCarlesonConstant:
