@@ -14,9 +14,12 @@ for cross-checking.
 
 Every evaluator takes a point of the domain as two arguments (avg, lam), each
 a Fraction or an int; CheckGrid is the dyadic grid of the domain that the
-grid certificates and the surface export walk.  candidate_row evaluates the
-closed form along a whole row of that grid at once, as integer numerators
-over one denominator.
+grid certificates and the surface export walk.  At a threshold lam > 0 the
+closed form is min(1, avg * mul / div) for one pair of ints (mul, div),
+given by _threshold_factor; candidate_eval applies it to the average's
+numerator and denominator in integers and builds one Fraction, and
+candidate_row applies it along a whole row of the grid at once, as integer
+numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -59,30 +62,46 @@ class CandidateParams:
         return cls(C=c, floor_c=fl, decay=(c - 1) / c)
 
 
-def _require_domain(avg: RationalLike, upper: Fraction) -> Fraction:
-    """The average as a Fraction inside [0, upper]; a float raises TypeError."""
-    if not isinstance(avg, Fraction):
+def _require_domain(avg: RationalLike, upper: Fraction) -> Tuple[int, int]:
+    """(numerator, denominator) of an average inside [0, upper]; a float raises TypeError."""
+    if type(avg) is not Fraction:
         avg = to_fraction(avg)
-    if not 0 <= avg <= upper:
+    num, den = avg.numerator, avg.denominator
+    if num < 0 or num * upper.denominator > upper.numerator * den:
         raise ValueError(f"average {avg} outside the domain [0, {upper}]")
-    return avg
+    return num, den
+
+
+def _threshold_factor(params: CandidateParams, lam: RationalLike) -> Tuple[int, int]:
+    """(mul, div) with value(avg, lam) = min(1, avg * mul / div), for lam > 0.
+
+    With m = ceil(lam), k = m - floor(C) and decay = num/den, the pair is
+    (1, m) for lam <= floor(C) and (num^k, floor(C) den^k) above it.  Above
+    floor(C) the clip at 1 never binds: k >= 1 and avg <= C give
+    avg decay^k / floor(C) <= (C - 1) / floor(C) < 1.
+    """
+    m = math.ceil(lam)
+    if m <= params.floor_c:
+        return 1, m
+    # the exponent is >= 1 here, so the C = 1 case decays to exactly 0
+    k = m - params.floor_c
+    return params.decay.numerator ** k, params.floor_c * params.decay.denominator ** k
 
 
 def candidate_eval(params: CandidateParams, avg: Fraction, lam: Fraction) -> Fraction:
     """Evaluate the closed-form bound exactly at the point (avg, lam)."""
-    avg = _require_domain(avg, params.C)
+    num, den = _require_domain(avg, params.C)
     if lam <= 0:
         return ONE
-    m = math.ceil(lam)
-    if lam <= params.floor_c:
-        return min(ONE, Fraction(avg, m))
-    # the exponent is >= 1 here, so the C = 1 case decays to exactly 0
-    return (avg / params.floor_c) * params.decay ** (m - params.floor_c)
+    mul, div = _threshold_factor(params, lam)
+    num *= mul
+    den *= div
+    return ONE if num >= den else Fraction(num, den)
 
 
 def candidate_c1(avg: Fraction, lam: Fraction) -> Fraction:
     """Fixed C = 1 oracle: pairwise-disjoint selections only."""
-    avg = _require_domain(avg, ONE)
+    avg = Fraction(*_require_domain(avg, ONE))
     if lam <= 0:
         return ONE
     if lam <= 1:
@@ -92,7 +111,7 @@ def candidate_c1(avg: Fraction, lam: Fraction) -> Fraction:
 
 def candidate_c2(avg: Fraction, lam: Fraction) -> Fraction:
     """Fixed C = 2 oracle."""
-    avg = _require_domain(avg, Fraction(2))
+    avg = Fraction(*_require_domain(avg, Fraction(2)))
     if lam <= 0:
         return ONE
     if lam <= 1:
@@ -102,7 +121,7 @@ def candidate_c2(avg: Fraction, lam: Fraction) -> Fraction:
 
 def candidate_c32(avg: Fraction, lam: Fraction) -> Fraction:
     """Fixed C = 16/5 oracle, transcribed branch by branch."""
-    avg = _require_domain(avg, Fraction(16, 5))
+    avg = Fraction(*_require_domain(avg, Fraction(16, 5)))
     if lam <= 0:
         return ONE
     if lam <= 3:
@@ -115,23 +134,22 @@ def candidate_row(params: CandidateParams, s: int, j0: int, j1: int,
                   lam: Fraction) -> Tuple[List[int], int]:
     """The closed form at (j / 2^s, lam) for j = j0..j1, as (numerators, denominator).
 
-    At a fixed threshold the value is 1, min(1, j / (2^s m)) or
-    j num^k / (2^s floor(C) den^k) with m = ceil(lam), k = m - floor(C) and
-    decay = num/den, so the whole row shares one denominator.  Entry i of the
-    numerators over the denominator equals candidate_eval at j = j0 + i.
+    At a fixed threshold lam > 0 the value is min(1, j mul / (2^s div)) for
+    the pair (mul, div) of _threshold_factor, so the whole row shares the
+    denominator 2^s div.  Entry i of the numerators over the denominator
+    equals candidate_eval at j = j0 + i.
     """
     if j0 < 0 or j1 > grid_top(params.C, s):
         raise ValueError(f"averages j/2^{s}, {j0} <= j <= {j1}, leave the domain [0, {params.C}]")
     if lam <= 0:
         return [1] * (j1 - j0 + 1), 1
-    m = math.ceil(lam)
-    if lam <= params.floor_c:
-        den = m << s
-        return [j if j < den else den for j in range(j0, j1 + 1)], den
-    k = m - params.floor_c
-    step = params.decay.numerator ** k
-    return ([j * step for j in range(j0, j1 + 1)],
-            (params.floor_c << s) * params.decay.denominator ** k)
+    mul, div = _threshold_factor(params, lam)
+    den = div << s
+    if not mul:
+        return [0] * (j1 - j0 + 1), den
+    # the numerator j mul reaches den, the value 1, from j = ceil(den / mul) on
+    top = max(j0, min(j1 + 1, -(-den // mul)))
+    return list(range(j0 * mul, top * mul, mul)) + [den] * (j1 + 1 - top), den
 
 
 def candidate_fn(params: CandidateParams):

@@ -40,8 +40,10 @@ the row length of about C 2^d.  The value axis is sound only on
 non-decreasing rows, so every finished row is checked for that in one pass
 and a decrease raises; each convolution is dropped once the rows of the
 next depth are built.  Every cell at depth d >= 1 is then checked against
-the closed form with one exact integer comparison.  Rows for levels m <= 0
-(all leaves) and m > d + 1 (none) are never stored.
+the closed form with one exact integer comparison; the averages n / 2^d it
+is evaluated at are built once per depth, shared by that depth's levels and
+dropped with its convolutions.  Rows for levels m <= 0 (all leaves) and
+m > d + 1 (none) are never stored.
 
 A point query computes only its own cell by one scan of its split window
 over the rows below it, and a witness rebuilds the maximizing split the
@@ -207,13 +209,13 @@ class LevelSetDP:
                 break
         if best < 0:
             raise AssertionError(f"infeasible state ({d}, {n}, {m}) reached")
-        self._check_cell(d, n, m, best)
+        self._check_cell(d, n, m, best, Fraction(n, full))
         return best
 
-    def _check_cell(self, d: int, n: int, m: int, count: int) -> None:
-        """Raise unless the leaf count is within the closed form at (n / 2^d, m)."""
+    def _check_cell(self, d: int, n: int, m: int, count: int, avg: Fraction) -> None:
+        """Raise unless the leaf count is within the closed form at (avg, m), avg = n / 2^d."""
         full = 1 << d
-        bound = candidate_eval(self.params, Fraction(n, full), m)
+        bound = candidate_eval(self.params, avg, m)
         if count * bound.denominator > bound.numerator * full:
             raise AssertionError(f"DP cell (d, n, m) = ({d}, {n}, {m}) has value "
                                  f"{Fraction(count, full)} above the closed form {bound}")
@@ -246,16 +248,16 @@ class LevelSetDP:
         select = conv(m - 1)[:cap + 1 - full]
         return stay[:full] + list(map(max, stay[full:], select)) + select[len(stay) - full:]
 
-    def _check_row(self, d: int, m: int, row: List[int]) -> None:
+    def _check_row(self, d: int, m: int, row: List[int], averages: List[Fraction]) -> None:
         """Raise unless the row is non-decreasing, as the kernel needs, and
-        every cell at depth d >= 1 is within the closed form."""
+        every cell at depth d >= 1 is within the closed form; averages[n] is n / 2^d."""
         if any(map(gt, row, row[1:])):
             n = next(n for n in range(1, len(row)) if row[n] < row[n - 1])
             raise AssertionError(f"DP row (d, m) = ({d}, {m}) decreases at n = {n}, "
                                  f"so the value-axis kernel does not apply")
         if d:
             for n, count in enumerate(row):
-                self._check_cell(d, n, m, count)
+                self._check_cell(d, n, m, count, averages[n])
 
     @staticmethod
     def _child_levels(d: int, levels: Set[int], gammas: Tuple[int, ...]) -> Set[int]:
@@ -296,11 +298,14 @@ class LevelSetDP:
                 f"rows up to depth {plan[0][0]} need up to {work} kernel steps, more than "
                 f"the work budget of {KERNEL_WORK_BUDGET}")
         for depth, planned in groupby(reversed(plan), key=itemgetter(0)):
-            # the convolutions of the rows at depth - 1; the previous depth's are dropped
+            # the convolutions of the rows at depth - 1 and the averages of this
+            # depth's cells; the previous depth's are dropped
             convs: Dict[int, List[int]] = {}
+            full = 1 << depth
+            averages = [Fraction(n, full) for n in range(self._cap_num(depth) + 1)]
             for _, m in planned:
                 row = self._row(depth, m, convs)
-                self._check_row(depth, m, row)
+                self._check_row(depth, m, row, averages)
                 self._rows[(depth, m)] = row
 
     def _count(self, d: int, n: int, m: int) -> int:

@@ -8,10 +8,37 @@ direct enumeration.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
-from carlevel import ROOT, CarlesonSeq, InductionTrace, NodeAddress
+from carlevel import ROOT, CandidateParams, CarlesonSeq, InductionTrace, NodeAddress
+from carlevel.candidate import ONE
+from carlevel.dyadic import to_fraction
+
+
+# -- the closed form as Fraction arithmetic ------------------------------------
+
+
+def reference_require_domain(avg, upper: Fraction) -> Fraction:
+    """The average as a Fraction inside [0, upper]; a float raises TypeError."""
+    if not isinstance(avg, Fraction):
+        avg = to_fraction(avg)
+    if not 0 <= avg <= upper:
+        raise ValueError(f"average {avg} outside the domain [0, {upper}]")
+    return avg
+
+
+def reference_candidate_eval(params: CandidateParams, avg: Fraction, lam: Fraction) -> Fraction:
+    """The closed form by Fraction division, power and min, branch by branch."""
+    avg = reference_require_domain(avg, params.C)
+    if lam <= 0:
+        return ONE
+    m = math.ceil(lam)
+    if lam <= params.floor_c:
+        return min(ONE, Fraction(avg, m))
+    # the exponent is >= 1 here, so the C = 1 case decays to exactly 0
+    return (avg / params.floor_c) * params.decay ** (m - params.floor_c)
 
 
 def all_addresses(depth: int) -> List[NodeAddress]:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from functools import partial
 
@@ -14,6 +15,7 @@ from carlevel import (
     candidate_row,
     candidate_surface,
 )
+from oracles import reference_candidate_eval
 
 
 def pt(a, l):
@@ -120,6 +122,73 @@ class TestSpecializations:
         for a in avgs:
             for l in lams:
                 assert candidate_eval(p, a, l) == candidate_c32(a, l)
+
+
+def outcome(evaluate, *args):
+    """The value, or the type and message of the exception raised."""
+    try:
+        return evaluate(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestReferenceFormula:
+    """candidate_eval against the Fraction formula it replaced, on seeded random points."""
+
+    CS = (Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(7, 3),
+          Fraction(16, 5), Fraction(7), Fraction(13), Fraction(25))
+
+    @staticmethod
+    def average(rng, c):
+        kind = rng.randrange(5)
+        if kind == 0:  # dyadic
+            e = rng.randint(0, 12)
+            return Fraction(rng.randint(0, c.numerator * (1 << e) // c.denominator), 1 << e)
+        if kind == 1:  # non-dyadic
+            q = rng.choice((3, 5, 7, 9, 15, 49, 641, 1001))
+            return Fraction(rng.randint(0, c.numerator * q // c.denominator), q)
+        if kind == 2:  # an int
+            return rng.randint(0, math.floor(c))
+        return (Fraction(0), c)[kind - 3]
+
+    @staticmethod
+    def threshold(rng, floor_c):
+        kind = rng.randrange(5)
+        if kind == 0:
+            return rng.choice((-3, Fraction(-5, 2), Fraction(-1, 7)))
+        if kind == 1:
+            return rng.choice((0, Fraction(0)))
+        if kind == 2:
+            return rng.randint(1, floor_c + 30)
+        if kind == 3:
+            return Fraction(rng.randint(1, floor_c + 30))
+        return Fraction(rng.randint(1, 4 * floor_c + 60), rng.choice((2, 3, 4, 7)))
+
+    def test_values_match(self):
+        rng = random.Random(2026)
+        points = []
+        for c in self.CS:
+            p = params(c)
+            points += [(p, self.average(rng, c), self.threshold(rng, p.floor_c))
+                       for _ in range(250)]
+        # the last threshold the power budget allows at C = 16/5
+        p = params(Fraction(16, 5))
+        points += [(p, a, l) for a in (0, Fraction(1, 3), Fraction(5, 2), Fraction(16, 5))
+                   for l in (2403, Fraction(2403), Fraction(4805, 2))]
+        assert len(points) >= 2000
+        for p, a, l in points:
+            got = candidate_eval(p, a, l)
+            assert type(got) is Fraction and got == reference_candidate_eval(p, a, l), (p.C, a, l)
+
+    def test_same_errors(self):
+        eps = Fraction(1, 10 ** 9)
+        for c in self.CS:
+            p = params(c)
+            for a in (0.5, float(c), c + eps, -eps, math.floor(c) + 1, -1):
+                for l in (-1, 0, 1, Fraction(7, 2), math.floor(c) + 3):
+                    got = outcome(candidate_eval, p, a, l)
+                    assert isinstance(got, tuple), (c, a, l)
+                    assert got == outcome(reference_candidate_eval, p, a, l), (c, a, l)
 
 
 class TestRow:

@@ -214,6 +214,24 @@ class TestClosedFormCheck:
         with pytest.raises(AssertionError, match=r"\(d, n, m\) = \(1, 3, 2\)"):
             LevelSetDP(2).value(2, 2, 2)
 
+    def test_breach_names_its_exact_cell(self, monkeypatch):
+        # depth 4's levels are checked in the order m = 3, 2, 1, so (4, 23, 2)
+        # reads the shared averages after another level has; 23/16 lies on no
+        # shallower grid, so this cell is the first to meet the patched breach
+        d, n, m = 4, 23, 2
+        value = Fraction(LevelSetDP(Fraction(16, 5)).value(d, Fraction(n, 1 << d), m))
+        real = candidate_eval
+
+        def breach_at_one_cell(params, avg, lam):
+            return 0 if (avg, lam) == (Fraction(n, 1 << d), m) else real(params, avg, lam)
+
+        monkeypatch.setattr(carlevel.extremal, "candidate_eval", breach_at_one_cell)
+        with pytest.raises(AssertionError) as excinfo:
+            LevelSetDP(Fraction(16, 5)).table(5, 3)
+        assert value > 0
+        assert str(excinfo.value) == \
+            f"DP cell (d, n, m) = ({d}, {n}, {m}) has value {value} above the closed form 0"
+
     def test_breach_survives_optimized_mode(self):
         src = os.path.dirname(os.path.dirname(carlevel.__file__))
         env = dict(os.environ, PYTHONPATH=src)

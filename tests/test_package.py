@@ -43,17 +43,37 @@ def test_public_surface():
     assert not hasattr(carlevel.CandidateParams.from_constant(2), "frac_c")
 
 
-def test_bench_entry_points_resolve():
-    # the benchmark's tracer wraps these names; a missing one makes its metrics absent
+def load_bench_spans():
+    """bench/spans.py, loaded by path: bench/ is not a package."""
     path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_bench_entry_points_resolve():
+    # the benchmark's tracer wraps these names; a missing one makes its metrics absent
+    spans = load_bench_spans()
     for module_name, dotted, _ in spans.SPANS + spans.COUNTED:
         owner = importlib.import_module(module_name)
         for part in dotted.split("."):
             owner = getattr(owner, part)
         assert callable(owner), f"{module_name}.{dotted}"
+
+
+def test_bench_tracer_sees_every_dp_check():
+    # the tracer counts closed-form calls through the module attribute
+    # carlevel.extremal.candidate_eval; a DP that bound the function elsewhere
+    # would hide them and move the benchmark's pinned candidate.evals
+    spans = load_bench_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        carlevel.extremal.LevelSetDP(2).table(6, 4)
+    finally:
+        tracer.uninstall()
+    assert tracer.count("candidate.eval") == 1013
 
 
 def test_bench_gate_selftest_passes():
