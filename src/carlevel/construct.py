@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import List, Set
 
-from .dyadic import ROOT, NodeAddress, RationalLike, dyadic_exponent, to_fraction
+from .dyadic import RationalLike, dyadic_exponent, to_fraction
 from .errors import AdmissibilityError, PrecisionError, ResourceLimitError
 from .sequences import CarlesonSeq, require_depth
 
@@ -40,30 +40,24 @@ def binary_expansion(a: RationalLike, depth: int) -> List[int]:
     return [(scaled >> (depth - 1 - k)) & 1 for k in range(depth)]
 
 
-def _place_bits(at: NodeAddress, bits: List[int], selected: Set[NodeAddress]) -> None:
-    """Add the disjoint selection of the binary expansion `bits` below the address `at`."""
-    for bit in bits:
-        left, right = at.children()
-        if bit:
-            selected.add(right)
-            at = left
-        else:
-            at = right
+def _place_bits(bases: range, bits: List[int]) -> List[Set[int]]:
+    """The disjoint selection of the binary expansion `bits` below each index of
+    `bases` at one level: for k = 1..len(bits), the indices selected k levels down."""
+    levels: List[Set[int]] = []
+    path = 0  # the walk below a base so far, one bit per level: 1 where it went right
+    for k, bit in enumerate(bits, 1):
+        levels.append({b << k | path << 1 | 1 for b in bases} if bit else set())
+        path = path << 1 | (1 - bit)
+    return levels
 
 
 def construct_fractional(a: RationalLike, depth: int) -> CarlesonSeq:
     """A pairwise-disjoint selection of total relative measure a in [0, 1)."""
-    selected: Set[NodeAddress] = set()
-    _place_bits(ROOT, binary_expansion(a, depth), selected)
-    return CarlesonSeq(depth, selected)
-
-
-def _partition_staircase(depth: int) -> Set[NodeAddress]:
-    # right child at each level plus the final leftmost cell: a partition of
-    # the main interval into depth + 1 disjoint pieces of total measure 1
-    sel = {NodeAddress(k, 1) for k in range(1, depth + 1)}
-    sel.add(NodeAddress(depth, 0))
-    return sel
+    require_depth(depth)
+    bits = binary_expansion(a, depth)
+    # the 1-bits end at the dyadic exponent; the zeros after it select nothing
+    levels = [set()] + _place_bits(range(1), bits[:dyadic_exponent(a)])
+    return CarlesonSeq._from_levels(depth, levels)
 
 
 def construct_admissible(a: RationalLike, C: RationalLike, depth: int,
@@ -91,7 +85,13 @@ def construct_admissible(a: RationalLike, C: RationalLike, depth: int,
             raise ValueError("partition style only realizes average 1")
         if depth < 1:
             raise ValueError("partition style needs depth >= 1")
-        return CarlesonSeq(depth, _partition_staircase(depth))
+        if depth + 1 > MAX_CONSTRUCT_ADDRESSES:
+            raise ResourceLimitError(
+                f"a partition of depth {depth} selects more than the construction budget "
+                f"of {MAX_CONSTRUCT_ADDRESSES} addresses")
+        # the right child at each level 1..depth and the last leftmost cell: a
+        # partition of the main interval into depth + 1 disjoint pieces
+        return CarlesonSeq._from_levels(depth, [set()] + [{1} for _ in range(1, depth)] + [{0, 1}])
     if style != "roof":
         raise ValueError(f"unknown style {style!r}")
 
@@ -114,13 +114,8 @@ def construct_admissible(a: RationalLike, C: RationalLike, depth: int,
             f"average {target} selects more than the construction budget of "
             f"{MAX_CONSTRUCT_ADDRESSES} addresses")
 
-    selected: Set[NodeAddress] = set()
-    bases = [ROOT]
-    for level in range(whole):
-        bases = [NodeAddress(level, index) for index in range(1 << level)]
-        selected.update(bases)
-    bits = binary_expansion(frac, nbits)
-    for base in bases:
-        _place_bits(base, bits, selected)
-
-    return CarlesonSeq(depth, selected)
+    # the roof's levels, then the expansion below each index of its last level
+    # (below the root when there is no roof)
+    levels = [set(range(1 << level)) for level in range(whole)] or [set()]
+    levels += _place_bits(range(1 << (len(levels) - 1)), binary_expansion(frac, nbits))
+    return CarlesonSeq._from_levels(depth, levels)

@@ -6,6 +6,9 @@ returned as ``DyadicRational``, a Fraction that refuses any other
 denominator when built; it compares, hashes, prints and computes as a
 Fraction, and its arithmetic gives plain Fractions.  General rationals
 (the Carleson bound C may be something like 16/5) are plain Fractions.
+
+``NodeAddress``, a validated and ordered (level, index) pair, is only the
+input and output type of a dyadic interval: the tree is walked on integers.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Tuple, Union
+from typing import Union
 
 from .errors import PrecisionError
 
@@ -99,38 +102,6 @@ class NodeAddress:
         # index < 2^level, without building 2^level
         if self.index < 0 or self.index.bit_length() > self.level:
             raise ValueError(f"index {self.index} out of range at level {self.level}")
-
-    def children(self) -> Tuple["NodeAddress", "NodeAddress"]:
-        """Left and right halves, one level down."""
-        return (NodeAddress(self.level + 1, 2 * self.index),
-                NodeAddress(self.level + 1, 2 * self.index + 1))
-
-    def parent(self) -> "NodeAddress":
-        if self.level == 0:
-            raise ValueError("the main interval has no parent")
-        return NodeAddress(self.level - 1, self.index // 2)
-
-    def is_ancestor_of(self, other: "NodeAddress") -> bool:
-        """True iff this interval contains the other (non-strict)."""
-        if self.level > other.level:
-            return False
-        return other.index >> (other.level - self.level) == self.index
-
-    def ancestors(self) -> Iterator["NodeAddress"]:
-        """This address and every address above it, leaf to root."""
-        a = self
-        while True:
-            yield a
-            if a.level == 0:
-                return
-            a = a.parent()
-
-    def leaf_span(self, depth: int) -> Tuple[int, int]:
-        """Half-open index range [lo, hi) covered at the given deeper level."""
-        if depth < self.level:
-            raise ValueError("depth above this address's level")
-        shift = depth - self.level
-        return self.index << shift, (self.index + 1) << shift
 
 
 ROOT = NodeAddress(0, 0)

@@ -71,8 +71,7 @@ from operator import add, gt, itemgetter
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .candidate import CandidateParams, candidate_eval
-from .dyadic import (ROOT, DyadicRational, NodeAddress, RationalLike, dyadic_exponent,
-                     grid_top, to_fraction)
+from .dyadic import DyadicRational, RationalLike, dyadic_exponent, grid_top, to_fraction
 from .errors import AdmissibilityError, PrecisionError, ResourceLimitError
 from .sequences import CarlesonSeq
 
@@ -193,6 +192,26 @@ class LevelSetDP:
             else:
                 yield gamma, lo, hi, [0] * (hi - lo + 1)
 
+    def _split(self, d: int, n: int, m: int) -> Tuple[int, int, int]:
+        """(count, gamma, left numerator): F_d(n / 2^d, m) as a leaf count and the
+        split attaining it, from the stored child rows; count is -1 when no
+        split is feasible.
+
+        Ties go to gamma = 1 and then to the smallest left numerator; a
+        level already reached at the root takes the largest one.
+        """
+        full = 1 << d
+        best = (-1, 0, 0)
+        for gamma, lo, hi, values in self._splits(d, n, m):
+            if values is None:
+                return full, gamma, hi
+            top = max(values)
+            if top > best[0]:
+                best = (top, gamma, lo + values.index(top))
+                if top == full:
+                    break
+        return best
+
     def _best(self, d: int, n: int, m: int) -> int:
         """F_d(n / 2^d, m) as a leaf count in [0, 2^d], from the stored rows at depth d - 1."""
         if m <= 0:
@@ -201,16 +220,11 @@ class LevelSetDP:
             return 0
         if d == 0:
             return n
-        full = 1 << d
-        best = -1
-        for _, _, _, values in self._splits(d, n, m):
-            best = max(best, full if values is None else max(values))
-            if best == full:
-                break
-        if best < 0:
+        count = self._split(d, n, m)[0]
+        if count < 0:
             raise AssertionError(f"infeasible state ({d}, {n}, {m}) reached")
-        self._check_cell(d, n, m, best, Fraction(n, full))
-        return best
+        self._check_cell(d, n, m, count, Fraction(n, 1 << d))
+        return count
 
     def _check_cell(self, d: int, n: int, m: int, count: int, avg: Fraction) -> None:
         """Raise unless the leaf count is within the closed form at (avg, m), avg = n / 2^d."""
@@ -320,37 +334,21 @@ class LevelSetDP:
 
     # -- witness reconstruction ----------------------------------------------
 
-    def _split(self, d: int, n: int, m: int) -> Tuple[int, int]:
-        """(gamma, left numerator) of the maximizing split, from the stored child rows.
-
-        Ties go to gamma = 1 and then to the smallest left numerator; a
-        level already reached at the root takes the largest one.
-        """
-        best = -1
-        choice = (0, 0)
-        for gamma, lo, hi, values in self._splits(d, n, m):
-            if values is None:
-                return gamma, hi
-            top = max(values)
-            if top > best:
-                best, choice = top, (gamma, lo + values.index(top))
-            if best == 1 << d:
-                break
-        return choice
-
-    def _place_selection(self, at: NodeAddress, d: int, n: int, m: int,
-                         sel: Set[NodeAddress]) -> None:
-        """Add to sel a depth-d selection below `at` with average n / 2^d that
-        attains F_d(n / 2^d, m).  Levels outside 1..d + 1 take any admissible
-        selection: select the root when n >= 2^d, then fill the left half first."""
+    def _place_selection(self, level: int, index: int, d: int, n: int, m: int,
+                         levels: List[Set[int]]) -> None:
+        """Add to levels a depth-d selection below the address (level, index) with
+        average n / 2^d that attains F_d(n / 2^d, m); levels[l] collects the
+        indices selected at level l.  Levels outside 1..d + 1 take any
+        admissible selection: select the root when n >= 2^d, then fill the
+        left half first."""
         if n == 0:
             return
         if d == 0:
-            sel.add(at)
+            levels[level].add(index)
             return
         child_cap = self._cap_num(d - 1)
         if 1 <= m <= d + 1:
-            gamma, n1 = self._split(d, n, m)
+            _, gamma, n1 = self._split(d, n, m)
         else:
             gamma = 1 if n >= 1 << d else 0
             n1 = min(n - (gamma << d), child_cap)
@@ -359,10 +357,9 @@ class LevelSetDP:
             raise AssertionError(f"no admissible split at ({d}, {n}): right numerator "
                                  f"{n2} exceeds {child_cap}")
         if gamma:
-            sel.add(at)
-        left, right = at.children()
-        self._place_selection(left, d - 1, n1, m - gamma, sel)
-        self._place_selection(right, d - 1, n2, m - gamma, sel)
+            levels[level].add(index)
+        self._place_selection(level + 1, 2 * index, d - 1, n1, m - gamma, levels)
+        self._place_selection(level + 1, 2 * index + 1, d - 1, n2, m - gamma, levels)
 
     # -- public surface ------------------------------------------------------
 
@@ -374,9 +371,9 @@ class LevelSetDP:
                      level: int) -> Tuple[DyadicRational, CarlesonSeq]:
         n, m = self._check_key(depth, average, level)
         count = self._count(depth, n, m)
-        selected: Set[NodeAddress] = set()
-        self._place_selection(ROOT, depth, n, m, selected)
-        return DyadicRational(count, 1 << depth), CarlesonSeq(depth, selected)
+        levels: List[Set[int]] = [set() for _ in range(depth + 1)]
+        self._place_selection(0, 0, depth, n, m, levels)
+        return DyadicRational(count, 1 << depth), CarlesonSeq._from_levels(depth, levels)
 
     def table(self, depth: int, m_max: int) -> List[Tuple[Fraction, int, Fraction]]:
         """Every (a, m, F_depth(a, m)) with 0 <= m <= m_max, sorted by a and then m."""

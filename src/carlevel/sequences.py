@@ -6,11 +6,12 @@ Carleson constant (checked on selected nodes only, which suffices), the
 generations of maximal selected intervals, the height of a leaf, and the
 normalized level-set measures of the height function.
 
-All arithmetic is exact.  Internally the tree is kept per level on integer
-indices: the selected indices of each level, and the subtree sum under each
-index with a selection below it, as an integer scaled by 2^N.  One top-down
-walk over those indices serves the generations and the induction trace;
-NodeAddress objects are built only for outputs.
+All arithmetic is exact.  A selection is kept per level on integer indices
+from the code that builds it to the output: the selected indices of each
+level, and the subtree sum under each index with a selection below it, as an
+integer scaled by 2^N.  One top-down walk over those indices serves the
+generations and the induction trace.  NodeAddress is only an input and output
+type: ``selected`` builds its addresses the first time it is read.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Collection, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .dyadic import ROOT, DyadicRational, NodeAddress, RationalLike, to_fraction
 from .errors import ResourceLimitError
@@ -41,22 +42,17 @@ def require_depth(depth: int) -> None:
         raise ResourceLimitError(f"depth {depth} exceeds the depth limit of {MAX_DEPTH}")
 
 
-def _subtree_units(depth: int, selected: Collection[NodeAddress],
-                   ) -> Tuple[List[Dict[int, int]], List[Set[int]]]:
-    """Per level down to the deepest selection: the selected measure under each
-    index with any, in units of 2^-depth, and the selected indices.
+def _subtree_units(depth: int, selected_at: List[Set[int]]) -> List[Dict[int, int]]:
+    """Per level of selected_at, the selected measure under each index with
+    any, in units of 2^-depth.
 
     Built bottom-up, deepest level first: each level's sums pass to the
     parents once, so the cost follows the number of addresses with a
     selection below them, not the selection's size times its depth.
     """
-    deepest = max((a.level for a in selected), default=-1)
-    selected_at: List[Set[int]] = [set() for _ in range(deepest + 1)]
-    for a in selected:
-        selected_at[a.level].add(a.index)
     units: List[Dict[int, int]] = []
     carry: Dict[int, int] = {}
-    for level in range(deepest, -1, -1):
+    for level in range(len(selected_at) - 1, -1, -1):
         w = 1 << (depth - level)
         for index in selected_at[level]:
             carry[index] = carry.get(index, 0) + w
@@ -68,7 +64,21 @@ def _subtree_units(depth: int, selected: Collection[NodeAddress],
             parents[parent] = parents[parent] + total if parent in parents else total
         carry = parents
     units.reverse()
-    return units, selected_at
+    return units
+
+
+def _levels(depth: int, pairs: Iterable[Tuple[int, int]]) -> List[Set[int]]:
+    """The selected indices of each level down to the deepest of the valid
+    (level, index) pairs; a level below the depth raises."""
+    levels: List[Set[int]] = []
+    for level, index in pairs:
+        if level > depth:
+            raise ValueError(f"selected address {NodeAddress(level, index)} below truncation "
+                             f"depth {depth}")
+        while len(levels) <= level:
+            levels.append(set())
+        levels[level].add(index)
+    return levels
 
 
 class CarlesonSeq:
@@ -78,32 +88,50 @@ class CarlesonSeq:
     level-``depth`` leaves, where the height function is constant cell by cell.
     """
 
-    __slots__ = ("depth", "selected", "_units", "_selected_at", "_generations")
+    __slots__ = ("depth", "_selected_at", "_units", "_selected", "_generations")
 
     def __init__(self, depth: int, selected: Iterable[NodeAddress] = ()) -> None:
         require_depth(depth)
-        sel = frozenset(selected)
-        for a in sel:
-            if a.level > depth:
-                raise ValueError(f"selected address {a} below truncation depth {depth}")
-        units, selected_at = _subtree_units(depth, sel)
+        self._set_levels(depth, _levels(depth, ((a.level, a.index) for a in selected)))
+
+    @classmethod
+    def _from_levels(cls, depth: int, levels: List[Set[int]]) -> "CarlesonSeq":
+        """The sequence selecting levels[l], a set of indices < 2^l, at each level
+        l <= depth; the caller has checked both bounds and hands the sets over."""
+        self = object.__new__(cls)
+        self._set_levels(depth, levels)
+        return self
+
+    def _set_levels(self, depth: int, levels: List[Set[int]]) -> None:
+        while levels and not levels[-1]:
+            levels.pop()
         object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "selected", sel)
+        # _selected_at[level]: the selected indices, down to the deepest selection
+        object.__setattr__(self, "_selected_at", levels)
         # _units[level][index]: selected measure under the address, in units of 2^-depth
-        object.__setattr__(self, "_units", units)
-        object.__setattr__(self, "_selected_at", selected_at)
+        object.__setattr__(self, "_units", _subtree_units(depth, levels))
+        object.__setattr__(self, "_selected", None)
         object.__setattr__(self, "_generations", None)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("CarlesonSeq is immutable")
 
+    @property
+    def selected(self) -> FrozenSet[NodeAddress]:
+        """The selected addresses, built the first time they are read."""
+        if self._selected is None:
+            object.__setattr__(self, "_selected", frozenset(
+                NodeAddress(level, index)
+                for level, indices in enumerate(self._selected_at) for index in indices))
+        return self._selected
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CarlesonSeq):
             return NotImplemented
-        return self.depth == other.depth and self.selected == other.selected
+        return self.depth == other.depth and self._selected_at == other._selected_at
 
     def __hash__(self) -> int:
-        return hash((self.depth, self.selected))
+        return hash((self.depth, tuple(map(frozenset, self._selected_at))))
 
     def __repr__(self) -> str:
         return f"CarlesonSeq(depth={self.depth}, selected={sorted(self.selected)!r})"
@@ -187,7 +215,7 @@ class CarlesonSeq:
         """Drop every selection at level >= n; the result has depth n."""
         if not 0 <= n <= self.depth:
             raise ValueError(f"truncation level {n} not in [0, {self.depth}]")
-        return CarlesonSeq(n, {a for a in self.selected if a.level < n})
+        return CarlesonSeq._from_levels(n, self._selected_at[:n])
 
     # -- interchange -----------------------------------------------------------
 
@@ -216,23 +244,24 @@ class CarlesonSeq:
         raw = data.get("selected")
         if not isinstance(raw, list):
             raise ValueError('field "selected": expected a list of [level, index] pairs')
-        sel = []
         for pos, entry in enumerate(raw):
             if (not isinstance(entry, (list, tuple)) or len(entry) != 2
                     or not all(type(v) is int for v in entry)):
                 raise ValueError(f'field "selected"[{pos}]: expected [level, index], got {entry!r}')
-            try:
-                sel.append(NodeAddress(entry[0], entry[1]))
-            except ValueError as exc:
-                raise ValueError(f'field "selected"[{pos}]: {exc}') from None
-        seq = cls(depth, sel)
-        if len(seq.selected) != len(sel):
-            first: Dict[NodeAddress, int] = {}
-            for pos, a in enumerate(sel):
-                if first.setdefault(a, pos) != pos:
-                    raise ValueError(f'field "selected"[{pos}]: {raw[pos]!r} repeats '
-                                     f'entry {first[a]}')
-        return seq
+            level, index = entry
+            if level < 0 or index < 0 or index.bit_length() > level:
+                try:
+                    NodeAddress(level, index)  # words the refusal
+                except ValueError as exc:
+                    raise ValueError(f'field "selected"[{pos}]: {exc}') from None
+        levels = _levels(depth, raw)
+        if sum(map(len, levels)) != len(raw):
+            first: Dict[Tuple[int, int], int] = {}
+            for pos, entry in enumerate(raw):
+                if first.setdefault(tuple(entry), pos) != pos:
+                    raise ValueError(f'field "selected"[{pos}]: {entry!r} repeats '
+                                     f'entry {first[tuple(entry)]}')
+        return cls._from_levels(depth, levels)
 
     @classmethod
     def from_json(cls, text: str) -> "CarlesonSeq":
@@ -309,7 +338,7 @@ def random_carleson(depth: int, C: RationalLike, rng_seed: int,
     # accepting keeps it <= caps[l], i.e. the average at (l, i) <= p/q
     units = _zero_levels(depth)
     caps = [p << (depth - level) for level in range(depth + 1)]
-    chosen: List[NodeAddress] = []
+    chosen: List[Set[int]] = [set() for _ in range(depth + 1)]
     for level in range(depth + 1):
         w = q << (depth - level)
         for index in range(1 << level):
@@ -323,5 +352,5 @@ def random_carleson(depth: int, C: RationalLike, rng_seed: int,
             else:
                 for l in range(level + 1):
                     units[l][index >> (level - l)] += w
-                chosen.append(NodeAddress(level, index))
-    return CarlesonSeq(depth, chosen)
+                chosen[level].add(index)
+    return CarlesonSeq._from_levels(depth, chosen)

@@ -41,6 +41,37 @@ def reference_candidate_eval(params: CandidateParams, avg: Fraction, lam: Fracti
     return (avg / params.floor_c) * params.decay ** (m - params.floor_c)
 
 
+# -- the dyadic tree on (level, index), written here from the definitions ----------
+
+
+def ancestors(a: NodeAddress) -> Iterator[NodeAddress]:
+    """The address itself, then each larger dyadic interval up to the root."""
+    level, index = a.level, a.index
+    while level >= 0:
+        yield NodeAddress(level, index)
+        level, index = level - 1, index // 2
+
+
+def children(a: NodeAddress) -> Tuple[NodeAddress, NodeAddress]:
+    """Left and right halves, one level down."""
+    return NodeAddress(a.level + 1, 2 * a.index), NodeAddress(a.level + 1, 2 * a.index + 1)
+
+
+def leaf_span(a: NodeAddress, depth: int) -> Tuple[int, int]:
+    """The half-open range of level-``depth`` leaf indices inside a, for depth >= a.level."""
+    scale = 1 << (depth - a.level)
+    return a.index * scale, (a.index + 1) * scale
+
+
+def contains(j: NodeAddress, k: NodeAddress) -> bool:
+    """Whether the interval j contains the interval k (non-strict): k's leaf span at
+    its own level lies inside j's."""
+    if j.level > k.level:
+        return False
+    lo, hi = leaf_span(j, k.level)
+    return lo <= k.index < hi
+
+
 def all_addresses(depth: int) -> List[NodeAddress]:
     return [NodeAddress(level, index)
             for level in range(depth + 1)
@@ -58,7 +89,7 @@ def brute_average(selected: Iterable[NodeAddress], j: NodeAddress) -> Fraction:
     """Direct sum of |K| / |j| over selected K inside j."""
     total = Fraction(0)
     for k in selected:
-        if j.is_ancestor_of(k):
+        if contains(j, k):
             total += Fraction(1, 1 << (k.level - j.level))
     return total
 
@@ -89,7 +120,7 @@ def brute_units(depth: int, selected: Iterable[NodeAddress]) -> Dict[NodeAddress
     every selected address's ancestors; only addresses with a selection below."""
     units: Dict[NodeAddress, int] = {}
     for a in selected:
-        for anc in a.ancestors():
+        for anc in ancestors(a):
             units[anc] = units.get(anc, 0) + (1 << (depth - a.level))
     return units
 
@@ -100,7 +131,7 @@ def brute_generations(selected: Iterable[NodeAddress]) -> List[List[NodeAddress]
     sel = set(selected)
     gens: Dict[int, List[NodeAddress]] = {}
     for a in sel:
-        m = sum(1 for anc in a.ancestors() if anc != a and anc in sel)
+        m = sum(1 for anc in ancestors(a) if anc != a and anc in sel)
         gens.setdefault(m, []).append(a)
     return [sorted(gens[m]) for m in range(len(gens))]
 
@@ -111,7 +142,7 @@ def brute_heights(selected: Iterable[NodeAddress], depth: int) -> List[int]:
     out = []
     for index in range(1 << depth):
         leaf = NodeAddress(depth, index)
-        out.append(sum(1 for a in leaf.ancestors() if a in sel))
+        out.append(sum(1 for a in ancestors(leaf) if a in sel))
     return out
 
 
@@ -140,7 +171,7 @@ def brute_trace(fn, seq: CarlesonSeq, lam) -> InductionTrace:
         nxt: List[Tuple[NodeAddress, Fraction]] = []
         for addr, residual in frontier:
             child_residual = residual - (1 if addr in seq.selected else 0)
-            left, right = addr.children()
+            left, right = children(addr)
             nxt.append((left, child_residual))
             nxt.append((right, child_residual))
         frontier = nxt

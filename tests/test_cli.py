@@ -110,6 +110,7 @@ class TestConstructAndValidate:
         def no_sequence(*args):
             raise AssertionError("a sequence was built before the refusal")
         monkeypatch.setattr(CarlesonSeq, "__init__", no_sequence)
+        monkeypatch.setattr(CarlesonSeq, "_from_levels", no_sequence)
         code, _, err = run(capsys, "construct", "--A", "1/2", "--C", "1",
                            "--depth", str(MAX_DEPTH + 1))
         assert code == 3 and "resource limit" in err
@@ -123,10 +124,24 @@ class TestConstructAndValidate:
         def no_sequence(*args):
             raise AssertionError("a sequence was built before the refusal")
         monkeypatch.setattr(CarlesonSeq, "__init__", no_sequence)
+        monkeypatch.setattr(CarlesonSeq, "_from_levels", no_sequence)
         for a, depth in (("65/4", "18"), ("17", "17"), ("1000000", str(MAX_DEPTH))):
             code, _, err = run(capsys, "construct", "--A", a, "--C", "1000000",
                                "--depth", depth)
             assert code == 3, a
+            assert "resource limit" in err and "construction budget of 65536" in err
+
+    def test_partition_is_budgeted(self, capsys, monkeypatch):
+        # depth + 1 addresses, each subtree sum about depth - level bits: at depth 2^16
+        # the staircase peaked at 620 MB before this refusal
+        def no_sequence(*args):
+            raise AssertionError("a sequence was built before the refusal")
+        monkeypatch.setattr(CarlesonSeq, "__init__", no_sequence)
+        monkeypatch.setattr(CarlesonSeq, "_from_levels", no_sequence)
+        for depth in (1 << 16, MAX_DEPTH):
+            code, _, err = run(capsys, "construct", "--style", "partition", "--A", "1",
+                               "--C", "1", "--depth", str(depth))
+            assert code == 3, depth
             assert "resource limit" in err and "construction budget of 65536" in err
 
     def test_deep_sequence_validates_quickly(self, tmp_path):

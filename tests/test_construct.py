@@ -16,6 +16,8 @@ from carlevel import (
     construct_admissible,
     construct_fractional,
 )
+from carlevel.sequences import MAX_DEPTH
+from oracles import leaf_span
 
 
 class TestBinaryExpansion:
@@ -88,7 +90,7 @@ class TestConstructAdmissible:
         report = carleson_constant(seq, 1)
         assert report.carleson_constant == 1
         # the selected pieces tile the main interval
-        spans = sorted(a.leaf_span(4) for a in seq.selected)
+        spans = sorted(leaf_span(a, 4) for a in seq.selected)
         assert spans[0][0] == 0 and spans[-1][1] == 16
         assert all(prev[1] == cur[0] for prev, cur in zip(spans, spans[1:]))
 
@@ -121,6 +123,19 @@ class TestConstructAdmissible:
         for a in (Fraction(15, 4), Fraction(4095, 4096), 4, 10 ** 6):
             with pytest.raises(ResourceLimitError):
                 construct_admissible(a, 10 ** 6, 10 ** 6)
+
+    def test_partition_is_budgeted(self, monkeypatch):
+        # depth + 1 addresses, counted against the roof's budget before anything is built
+        monkeypatch.setattr(carlevel.construct, "MAX_CONSTRUCT_ADDRESSES", 11)
+        assert len(construct_admissible(1, 1, 10, style="partition").selected) == 11
+
+        def no_sequence(*args):
+            raise AssertionError("a sequence was built before the refusal")
+        monkeypatch.setattr(CarlesonSeq, "__init__", no_sequence)
+        monkeypatch.setattr(CarlesonSeq, "_from_levels", no_sequence)
+        for depth in (11, 1 << 16, MAX_DEPTH):
+            with pytest.raises(ResourceLimitError, match="construction budget of 11"):
+                construct_admissible(1, 1, depth, style="partition")
 
     def test_sampled_triples_are_exact_and_admissible(self):
         rng = random.Random(5151)

@@ -126,37 +126,6 @@ class TestDyadicRational:
 
 
 class TestNodeAddress:
-    def test_children_examples(self):
-        assert NodeAddress(0, 0).children() == (NodeAddress(1, 0), NodeAddress(1, 1))
-        assert NodeAddress(1, 1).children() == (NodeAddress(2, 2), NodeAddress(2, 3))
-        assert NodeAddress(3, 5).children() == (NodeAddress(4, 10), NodeAddress(4, 11))
-
-    def test_parent_inverts_children(self):
-        for a in (NodeAddress(3, 5), NodeAddress(7, 100)):
-            left, right = a.children()
-            assert left.parent() == a and right.parent() == a
-        with pytest.raises(ValueError):
-            ROOT.parent()
-
-    def test_is_ancestor_examples(self):
-        assert ROOT.is_ancestor_of(NodeAddress(5, 17))
-        assert NodeAddress(2, 1).is_ancestor_of(NodeAddress(4, 7))
-        assert not NodeAddress(2, 1).is_ancestor_of(NodeAddress(2, 2))
-        assert NodeAddress(2, 1).is_ancestor_of(NodeAddress(2, 1))
-
-    def test_trichotomy(self):
-        # any two addresses are nested or their leaf spans are disjoint
-        rng = random.Random(7)
-        for _ in range(2000):
-            la, lb = rng.randrange(0, 7), rng.randrange(0, 7)
-            a = NodeAddress(la, rng.randrange(1 << la))
-            b = NodeAddress(lb, rng.randrange(1 << lb))
-            depth = max(la, lb)
-            sa, sb = a.leaf_span(depth), b.leaf_span(depth)
-            overlap = max(sa[0], sb[0]) < min(sa[1], sb[1])
-            nested = a.is_ancestor_of(b) or b.is_ancestor_of(a)
-            assert overlap == nested
-
     def test_invalid_addresses_rejected(self):
         with pytest.raises(ValueError):
             NodeAddress(-1, 0)

@@ -19,7 +19,8 @@ REMOVED = {
     carlevel.construct: ("_fractional_addresses",),
     carlevel.LevelSetDP: ("_shift",),
     carlevel.candidate: ("BellmanPoint", "require_grid_budget"),
-    carlevel.NodeAddress: ("relative_measure",),
+    carlevel.NodeAddress: ("relative_measure", "children", "parent", "ancestors",
+                           "is_ancestor_of", "leaf_span"),
     carlevel.CarlesonSeq: ("subtree_units", "alpha_children"),
     carlevel.sequences: ("carleson_average", "alpha_children", "sparse_generations",
                          "generation_measure", "height_at", "level_set_measure", "truncate"),

@@ -10,19 +10,24 @@ import carlevel.sequences
 from carlevel import (
     ROOT,
     CarlesonSeq,
+    LevelSetDP,
     NodeAddress,
     ResourceLimitError,
     carleson_constant,
+    construct_admissible,
+    construct_fractional,
     random_carleson,
 )
 from oracles import (
     all_addresses,
+    ancestors,
     brute_average,
     brute_generations,
     brute_heights,
     brute_levelset,
     brute_sup_all_addresses,
     brute_units,
+    contains,
     iter_all_selections,
 )
 
@@ -81,6 +86,30 @@ class TestAverages:
             tracemalloc.stop()
         assert peak < 4_000_000
         assert seq.carleson_average(ROOT) == Fraction(1, 1 << (1 << 12))
+
+    def test_levels_stop_at_the_deepest_selection(self):
+        # one address at level 1 of the deepest truncation: storage sized by the depth
+        # instead of the selection took 243 MB; 0.42 MB before selections were kept per level
+        tracemalloc.start()
+        try:
+            seq = construct_admissible(Fraction(1, 2), 1, carlevel.sequences.MAX_DEPTH)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert seq.selected == {NodeAddress(1, 1)}
+
+    def test_empty_levels_above_a_lone_selection_stay_small(self):
+        # 8192 levels above one address: 3.74 MB before selections were kept per level,
+        # and 5.58 MB when each level's set was copied into a frozenset
+        tracemalloc.start()
+        try:
+            seq = CarlesonSeq(1 << 14, [NodeAddress(1 << 13, 0)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        assert seq.carleson_average(ROOT) == Fraction(1, 1 << (1 << 13))
 
 
 class TestCarlesonConstant:
@@ -215,6 +244,54 @@ class TestTruncate:
             chain(3).truncate(4)
 
 
+class TestProducers:
+    """Every way of building a sequence gives the one the public constructor builds
+    from its addresses."""
+
+    @staticmethod
+    def corpus():
+        for seed in range(15):
+            C = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(16, 5), Fraction(7))[seed % 5]
+            seq = random_carleson(seed % 9, C, 8800 + seed, density=(0.3, 0.6, 0.9)[seed % 3])
+            yield seq
+            yield CarlesonSeq.from_json(seq.to_json())
+            yield from (seq.truncate(n) for n in range(seq.depth + 1))
+        sparse = CarlesonSeq(7, [ROOT, NodeAddress(2, 1)])
+        yield from (sparse.truncate(n) for n in (0, 1, 2, 3, 6, 7))  # 3, 6, 7 lie below it
+        yield construct_fractional(0, 4)
+        yield construct_fractional(Fraction(13, 16), 6)
+        yield construct_admissible(Fraction(9, 4), 3, 6)  # roof and fraction
+        yield construct_admissible(3, 3, 5)  # roof only
+        yield construct_admissible(Fraction(5, 8), 1, 3)  # fraction only
+        yield construct_admissible(1, 1, 5, style="partition")
+        yield construct_admissible(1, 1, 1, style="partition")
+        dp = LevelSetDP(Fraction(16, 5))
+        for avg, m in ((0, 1), (0, 0), (Fraction(3, 2), 2), (Fraction(5, 2), 3),
+                       (Fraction(21, 8), 9), (1, 1)):
+            yield dp.max_levelset(5, avg, m)[1]
+
+    def test_same_as_the_public_constructor(self):
+        for seq in self.corpus():
+            again = CarlesonSeq(seq.depth, seq.selected)
+            assert seq == again and again == seq, seq
+            assert hash(seq) == hash(again), seq
+            assert repr(seq) == repr(again), seq
+            assert (seq._selected_at, seq._units) == (again._selected_at, again._units), seq
+
+    def test_repr_lists_addresses_in_order(self):
+        assert repr(construct_admissible(Fraction(5, 4), 2, 3)) == (
+            "CarlesonSeq(depth=3, selected=[NodeAddress(level=0, index=0), "
+            "NodeAddress(level=2, index=3)])")
+        assert repr(CarlesonSeq(2)) == "CarlesonSeq(depth=2, selected=[])"
+
+    def test_trailing_empty_levels_do_not_count(self):
+        seq = CarlesonSeq(3, [NodeAddress(1, 1)])
+        assert seq == CarlesonSeq._from_levels(3, [set(), {1}, set(), set()])
+        assert hash(seq) == hash(CarlesonSeq._from_levels(3, [set(), {1}, set()]))
+        assert CarlesonSeq(3) == CarlesonSeq._from_levels(3, [set(), set()])
+        assert seq != CarlesonSeq(4, [NodeAddress(1, 1)])
+
+
 class TestRandomCarleson:
     def test_depth_zero_options(self):
         for seed in range(20):
@@ -255,7 +332,7 @@ class TestRandomCarleson:
             for a in all_addresses(depth):
                 if rng.random() >= 0.75:
                     continue
-                if all(brute_average(chosen | {a}, anc) <= C for anc in a.ancestors()):
+                if all(brute_average(chosen | {a}, anc) <= C for anc in ancestors(a)):
                     chosen.add(a)
             assert random_carleson(depth, C, seed, density=0.75) == CarlesonSeq(depth, chosen)
 
@@ -311,6 +388,29 @@ class TestJson:
             CarlesonSeq.from_json(
                 '{"format": "carleson-seq/1", "depth": 1, "selected": [[1, 0], [0, 0], [1, 0]]}')
 
+    def test_address_errors_keep_their_wording(self):
+        # depth 2; shape and range errors come first, then a level below the depth,
+        # then the first repeat, which names the first occurrence of its address
+        cases = (
+            ('[[0, 0], [2, 4]]', 'field "selected"[1]: index 4 out of range at level 2'),
+            ('[[-1, 0]]', 'field "selected"[0]: level must be >= 0'),
+            ('[[1, -1]]', 'field "selected"[0]: index -1 out of range at level 1'),
+            ('[[3, 0], [1, 5]]', 'field "selected"[1]: index 5 out of range at level 1'),
+            ('[[1, 1], [4, 0], [3, 0], [1, 1]]',
+             'selected address NodeAddress(level=4, index=0) below truncation depth 2'),
+            ('[[0, 0], [1, 1], [2, 3], [1, 1], [0, 0]]',
+             'field "selected"[3]: [1, 1] repeats entry 1'),
+        )
+        for selected, message in cases:
+            with pytest.raises(ValueError) as exc:
+                CarlesonSeq.from_json('{"format": "carleson-seq/1", "depth": 2, '
+                                      f'"selected": {selected}}}')
+            assert str(exc.value) == message, selected
+        with pytest.raises(ValueError) as exc:
+            CarlesonSeq.from_json_dict({"format": "carleson-seq/1", "depth": 2,
+                                        "selected": [(2, 1), [0, 0], [2, 1]]})
+        assert str(exc.value) == 'field "selected"[2]: [2, 1] repeats entry 0'
+
     def test_ignores_extra_keys(self):
         seq = CarlesonSeq.from_json(
             '{"format": "carleson-seq/1", "depth": 0, "selected": [[0, 0]], '
@@ -354,7 +454,7 @@ class TestInvariantsRandomCorpus:
             for gen in gens:
                 for i, a in enumerate(gen):
                     for b in gen[i + 1:]:
-                        assert not a.is_ancestor_of(b) and not b.is_ancestor_of(a)
+                        assert not contains(a, b) and not contains(b, a)
             # level-set monotone in the threshold
             values = [seq.level_set_measure(m).as_fraction() for m in range(-1, depth + 3)]
             assert all(x >= y for x, y in zip(values, values[1:]))

@@ -36,6 +36,7 @@ from oracles import (
     brute_main_inequality_ok,
     brute_pair_concavity_ok,
     brute_trace,
+    contains,
 )
 
 
@@ -406,7 +407,7 @@ class TestInductionTrace:
                 for level in range(seq.depth + 2):
                     want.update({(brute_average(seq.selected, NodeAddress(level, i)),
                                   lam - sum(1 for a in seq.selected if a.level < level
-                                            and a.is_ancestor_of(NodeAddress(level, i))))
+                                            and contains(a, NodeAddress(level, i))))
                                  for i in range(1 << level)})
                 assert Counter(calls) == want, (C, seq, lam)
 
